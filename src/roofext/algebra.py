@@ -28,7 +28,6 @@ from .linalg import (
     Mat,
     PrimeField,
     QQ,
-    RationalField,
     block_diag,
     hstack,
     kernel_basis,
@@ -80,7 +79,6 @@ class Algebra:
         self.radical = radical
         self.label = label
         self._left: list[Mat | None] = [None] * self.dim
-        self._right: list[Mat | None] = [None] * self.dim
         self._key: tuple | None = None
         self.quiver = None  # filled by bound_quiver_algebra
         if check:
@@ -91,12 +89,6 @@ class Algebra:
         if self._left[i] is None:
             self._left[i] = Mat(self.field, self.mult[i].T.copy())
         return self._left[i]
-
-    def right_mult(self, i: int) -> Mat:
-        """Matrix of x -> x * e_i."""
-        if self._right[i] is None:
-            self._right[i] = Mat(self.field, self.mult[:, i, :].T.copy())
-        return self._right[i]
 
     def left_mult_of(self, vec) -> Mat:
         """Matrix of left multiplication by the element with coordinates vec."""
@@ -386,10 +378,12 @@ def vector_space_module(field: Field, dim: int, label: str = "") -> Module:
     return Module(A, action=[Mat.identity(field, dim)], label=label)
 
 
-def _closure(module: Module, gens: Mat) -> Mat:
-    """Canonical basis of the submodule generated by the given columns."""
-    span = IncrementalSpan(module.field, module.dim)
-    fresh = [gens.a[:, j].copy() for j in range(gens.ncols) if span.add(gens.a[:, j])]
+def close_span(module: Module, span: IncrementalSpan, fresh: list[np.ndarray]) -> None:
+    """Grow span until it is action-stable, acting on fresh vectors first.
+
+    The vectors in fresh are acted on but not added themselves; every image
+    that enlarges the span is acted on in the next round.
+    """
     while fresh:
         batch = Mat(module.field, np.array(fresh, dtype=object).T)
         fresh = []
@@ -399,6 +393,13 @@ def _closure(module: Module, gens: Mat) -> Mat:
                 v = hit.a[:, j]
                 if span.add(v):
                     fresh.append(v.copy())
+
+
+def _closure(module: Module, gens: Mat) -> Mat:
+    """Canonical basis of the submodule generated by the given columns."""
+    span = IncrementalSpan(module.field, module.dim)
+    fresh = [gens.a[:, j].copy() for j in range(gens.ncols) if span.add(gens.a[:, j])]
+    close_span(module, span, fresh)
     basis = span.basis()
     red, piv = rref(basis.T)
     return red.take_rows(range(len(piv))).T
@@ -451,8 +452,8 @@ def hom_space(source: Module, target: Module) -> list[ModuleHom]:
     field = source.field
     if n == 0 or m == 0:
         return []
-    eye_m = np.identity(m, dtype=object) if isinstance(field, RationalField) else np.identity(m, dtype=np.int64)
-    eye_n = np.identity(n, dtype=object) if isinstance(field, RationalField) else np.identity(n, dtype=np.int64)
+    eye_m = Mat.identity(field, m).a
+    eye_n = Mat.identity(field, n).a
     blocks = []
     for i in range(source.algebra.dim):
         an = target.act_mat(i).a

@@ -20,15 +20,7 @@ import numpy as np
 
 from .algebra import Algebra, Module, ModuleHom, hom_space, trivial_algebra, vector_space_module
 from .errors import SchemaError
-from .linalg import (
-    Mat,
-    kernel_basis,
-    left_inverse,
-    quotient_coords,
-    rank,
-    solve,
-    vstack,
-)
+from .linalg import Mat, rank, solve, subquotient
 
 __all__ = [
     "Complex",
@@ -271,18 +263,8 @@ def cohomology(x: Complex, n: int) -> CohomologyData:
 
 
 def _compute_cohomology(x: Complex, n: int) -> CohomologyData:
-    field = x.algebra.field
     xn = x.obj(n)
-    Z = kernel_basis(x.diff(n).matrix)
-    prev = x.diff(n - 1).matrix
-    inz = solve(Z, prev) if Z.ncols else Mat.zeros(field, 0, prev.ncols)
-    assert inz is not None, "image of d is not contained in the kernel"
-    qc = quotient_coords(inz)
-    include = Z @ qc.section
-    if Z.ncols:
-        project = qc.proj @ left_inverse(Z)
-    else:
-        project = Mat.zeros(field, 0, xn.dim)
+    Z, _, include, project = subquotient(x.diff(n).matrix, x.diff(n - 1).matrix)
     action = [project @ xn.act(i, include) for i in range(x.algebra.dim)]
     module = Module(x.algebra, action=action)
     return CohomologyData(module=module, cocycles=Z, include=include, project=project)

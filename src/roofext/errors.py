@@ -21,7 +21,11 @@ class NotSubmoduleError(ValueError):
 
 
 class MiddleMismatchError(ValueError):
-    """An extension sequence fails exactness; the message names the node."""
+    """Inputs that do not compose: the middle modules of two classes,
+    sequences or roofs differ, or two modules live over different algebras.
+
+    Exactness failures of an extension sequence raise SchemaError instead.
+    """
 
 
 class DegenerateFiltrationError(ValueError):

@@ -25,18 +25,26 @@ from random import Random
 
 import numpy as np
 
-from .algebra import Module, ModuleHom, direct_sum, free_module, submodule, submodule_quotient
+from .algebra import (
+    Module,
+    ModuleHom,
+    close_span,
+    direct_sum,
+    free_module,
+    submodule,
+    submodule_quotient,
+)
 from .errors import MiddleMismatchError, SchemaError, TruncationError
 from .linalg import (
     IncrementalSpan,
     Mat,
-    PrimeField,
     hstack,
     kernel_basis,
-    left_inverse,
     quotient_coords,
+    random_mat,
     rank,
     solve,
+    subquotient,
     vstack,
 )
 
@@ -93,19 +101,6 @@ def eval_free_images(target: Module, images: Mat, vecs: Mat) -> Mat:
     return out
 
 
-def _span_closure(module: Module, span: IncrementalSpan, start: list[np.ndarray]) -> None:
-    fresh = start
-    while fresh:
-        batch = Mat(module.field, np.array(fresh, dtype=object).T)
-        fresh = []
-        for i in range(module.algebra.dim):
-            hit = module.act(i, batch)
-            for j in range(hit.ncols):
-                v = hit.a[:, j]
-                if span.add(v):
-                    fresh.append(v.copy())
-
-
 def minimal_generators(ambient: Module, basis: Mat) -> Mat:
     """Pick a small generating set for the submodule spanned by basis columns.
 
@@ -134,11 +129,11 @@ def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
         v = basis.a[:, j]
         if not span.contains(v):
             gens.append(np.array(v, copy=True))
-            _span_closure(ambient, span, [np.array(v, copy=True)])
+            close_span(ambient, span, [np.array(v, copy=True)])
 
     def _spans_all(cand: list[np.ndarray]) -> bool:
         sp = IncrementalSpan(ambient.field, ambient.dim)
-        _span_closure(ambient, sp, [np.array(g, copy=True) for g in cand])
+        close_span(ambient, sp, [np.array(g, copy=True) for g in cand])
         return sp.rank == total
 
     improved = True
@@ -251,22 +246,13 @@ class _ExtSpace:
     def __init__(self, M: Module, N: Module, i: int):
         self.M, self.N, self.i = M, N, i
         self.res = free_resolution(M, i + 1)
-        field = M.field
         self.delta_out = _hom_delta(self.res, N, i)
-        Z = kernel_basis(self.delta_out)
         if i == 0:
-            binz = Mat.zeros(field, Z.ncols, 0)
+            delta_in = Mat.zeros(M.field, self.delta_out.ncols, 0)
         else:
-            prev = _hom_delta(self.res, N, i - 1)
-            binz = solve(Z, prev)
-            assert binz is not None, "coboundaries escaped the cocycles"
-        qc = quotient_coords(binz)
+            delta_in = _hom_delta(self.res, N, i - 1)
+        _, qc, self.include, self.project = subquotient(self.delta_out, delta_in)
         self.dim = qc.dim
-        self.include = Z @ qc.section
-        if Z.ncols:
-            self.project = qc.proj @ left_inverse(Z)
-        else:
-            self.project = Mat.zeros(field, 0, self.res.ranks[i] * N.dim)
 
     def key(self) -> tuple:
         return (self.M.key(), self.N.key(), self.i)
@@ -406,16 +392,8 @@ def lift_solve(matrix: Mat, rhs: Mat, rng: Random | None = None) -> Mat:
     if rng is not None:
         K = kernel_basis(matrix)
         if K.ncols and sol.ncols:
-            sol = sol + K @ _random_mat(rng, matrix.field, K.ncols, sol.ncols)
+            sol = sol + K @ random_mat(rng, matrix.field, K.ncols, sol.ncols)
     return sol
-
-
-def _random_mat(rng: Random, field, r: int, c: int) -> Mat:
-    if isinstance(field, PrimeField):
-        data = [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
-    else:
-        data = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
-    return Mat(field, np.array(data, dtype=object).reshape(r, c))
 
 
 def yoneda_product(a: ExtElement, b: ExtElement) -> ExtElement:

@@ -31,7 +31,7 @@ from .algebra import (
 from .complexes import Complex
 from .errors import DegenerateFiltrationError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, PrimeField, hstack
+from .linalg import QQ, Field, Mat, hstack, random_mat
 
 __all__ = [
     "kx3_regular",
@@ -117,14 +117,6 @@ def ka3_second_step(field: Field = QQ) -> ExtensionSeq:
 # -- random generators --------------------------------------------------------
 
 
-def _rand_mat(rng: Random, field: Field, r: int, c: int) -> Mat:
-    if isinstance(field, PrimeField):
-        data = [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
-    else:
-        data = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
-    return Mat(field, data) if r and c else Mat.zeros(field, r, c)
-
-
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
     """A random quotient of the regular module with 1 <= dim <= max_dim."""
@@ -133,7 +125,7 @@ def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
         return free
     for _ in range(tries):
         k = rng.randint(1, max(1, algebra.dim - 1))
-        incl = submodule(free, _rand_mat(rng, algebra.field, free.dim, k))
+        incl = submodule(free, random_mat(rng, algebra.field, free.dim, k))
         if incl.source.dim in (0, free.dim):
             continue
         quot, _, _ = submodule_quotient(free, incl)
@@ -152,10 +144,10 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
         ambient = random_module(rng, algebra, max_dim=max_dim)
         if ambient.dim < 3:
             continue
-        f1 = submodule(ambient, _rand_mat(rng, field, ambient.dim, 1))
+        f1 = submodule(ambient, random_mat(rng, field, ambient.dim, 1))
         if not 1 <= f1.source.dim <= ambient.dim - 2:
             continue
-        extra = _rand_mat(rng, field, ambient.dim, 1)
+        extra = random_mat(rng, field, ambient.dim, 1)
         f2 = submodule(ambient, hstack([f1.matrix, extra]))
         if not f1.source.dim < f2.source.dim < ambient.dim:
             continue
@@ -170,39 +162,44 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
 
 def random_ext_element(rng: Random, basis: list[ExtElement],
                        nonzero: bool = True, tries: int = 32) -> ExtElement:
-    """Random combination of an Ext basis; nonzero ones need a nonempty basis."""
+    """Random combination of a basis of one Ext group; nonzero ones need a nonempty basis."""
     if not basis:
         raise ValueError("empty basis has no nonzero elements")
     field = basis[0].source.field
+    vecs = hstack([b.vec for b in basis])
     for _ in range(tries):
-        out = None
-        for b in basis:
-            c = (rng.randrange(field.p) if isinstance(field, PrimeField)
-                 else rng.randint(-2, 2))
-            term = b.scale(c)
-            out = term if out is None else out + term
+        out = ExtElement(basis[0].space, vecs @ random_mat(rng, field, len(basis), 1))
         if not nonzero or not out.is_zero():
             return out
     return basis[0]
+
+
+def _random_ses_chain(rng: Random, field: Field, length: int,
+                      tries: int) -> tuple[ExtensionSeq, ...]:
+    """length composable extensions over one algebra.
+
+    Draws modules M_0, ..., M_length; E_k classifies Ext^1(M_(k-1), M_k),
+    so the sub of each sequence is the quotient of the next.
+    """
+    for _ in range(tries):
+        algebra = random_bound_quiver_algebra(rng, field)
+        mods = [random_module(rng, algebra, 4) for _ in range(length + 1)]
+        bases = []
+        for src, dst in zip(mods, mods[1:]):
+            dim, basis = ext_group(src, dst, 1)
+            if dim == 0:
+                break
+            bases.append(basis)
+        else:
+            return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
+    raise RuntimeError(f"could not draw a composable chain of {length} extensions")
 
 
 def random_ses_pair(rng: Random, field: Field,
                     tries: int = 400) -> tuple[ExtensionSeq, ExtensionSeq]:
     """Composable short exact sequences: E1 classifies Ext^1(M, N), E2
     classifies Ext^1(N, L), so class(E1) * class(E2) lands in Ext^2(M, L)."""
-    for _ in range(tries):
-        algebra = random_bound_quiver_algebra(rng, field)
-        m = random_module(rng, algebra, 4)
-        n = random_module(rng, algebra, 4)
-        ell = random_module(rng, algebra, 4)
-        d1, b1 = ext_group(m, n, 1)
-        d2, b2 = ext_group(n, ell, 1)
-        if d1 == 0 or d2 == 0:
-            continue
-        e1 = extension_from_class(random_ext_element(rng, b1))
-        e2 = extension_from_class(random_ext_element(rng, b2))
-        return e1, e2
-    raise RuntimeError("could not draw a composable pair of extensions")
+    return _random_ses_chain(rng, field, 2, tries)
 
 
 def random_ses_triple(
@@ -214,25 +211,7 @@ def random_ses_triple(
     Ext^1(L, K); consecutive sub/quotient modules match, so the three roofs
     compose in either association.
     """
-    for _ in range(tries):
-        algebra = random_bound_quiver_algebra(rng, field)
-        m = random_module(rng, algebra, 4)
-        n = random_module(rng, algebra, 4)
-        ell = random_module(rng, algebra, 4)
-        kay = random_module(rng, algebra, 4)
-        d1, b1 = ext_group(m, n, 1)
-        if d1 == 0:
-            continue
-        d2, b2 = ext_group(n, ell, 1)
-        if d2 == 0:
-            continue
-        d3, b3 = ext_group(ell, kay, 1)
-        if d3 == 0:
-            continue
-        return (extension_from_class(random_ext_element(rng, b1)),
-                extension_from_class(random_ext_element(rng, b2)),
-                extension_from_class(random_ext_element(rng, b3)))
-    raise RuntimeError("could not draw a composable triple of extensions")
+    return _random_ses_chain(rng, field, 3, tries)
 
 
 def sum_complexes(parts: list[Complex]) -> Complex:
@@ -260,13 +239,9 @@ def _random_hom(rng: Random, m: Module, n: Module) -> ModuleHom:
     if not basis:
         return ModuleHom.zero(m, n)
     field = m.field
-    acc = Mat.zeros(field, n.dim, m.dim)
-    for b in basis:
-        c = (rng.randrange(field.p) if isinstance(field, PrimeField)
-             else rng.randint(-2, 2))
-        if c:
-            acc = acc + b.matrix.scale(c)
-    return ModuleHom(m, n, acc, check=False)
+    flat = hstack([Mat(field, b.matrix.a.reshape(-1, 1)) for b in basis])
+    acc = (flat @ random_mat(rng, field, len(basis), 1)).a.reshape(n.dim, m.dim)
+    return ModuleHom(m, n, Mat(field, acc), check=False)
 
 
 def random_complex(rng: Random, algebra: Algebra, max_dim: int = 4) -> Complex:

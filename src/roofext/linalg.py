@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 
@@ -35,11 +36,14 @@ __all__ = [
     "left_inverse",
     "quotient_coords",
     "QuotientCoords",
+    "subquotient",
     "IncrementalSpan",
+    "random_mat",
 ]
 
-# Largest prime modulus we accept: keeps (p-1)^2 * dim safely inside int64
-# for every matmul this package can produce.
+# Largest prime modulus we accept.  A product of two reduced entries is then
+# below 2**50, so int64 holds a sum of 8192 of them; _dot splits longer inner
+# dimensions into chunks.
 _MAX_PRIME = 1 << 25
 
 
@@ -109,6 +113,8 @@ class PrimeField(Field):
         self.p = p
         self.char = p
         self.name = f"f{p}"
+        # longest inner dimension whose products of reduced entries sum within int64
+        self.dot_chunk = (2**63 - 1) // (p - 1) ** 2
 
     def reduce(self, arr):
         return np.asarray(arr, dtype=np.int64) % self.p
@@ -232,9 +238,6 @@ class Mat:
             return True
         return not (self.a != 0).any()
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other: "Mat"):
@@ -301,8 +304,11 @@ def _dot(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] == 0 or A.shape[0] == 0 or B.shape[1] == 0:
         return field.zeros((A.shape[0], B.shape[1]))
     if isinstance(field, PrimeField):
-        # (p-1)^2 * inner fits in int64 thanks to the modulus bound
-        return A.dot(B) % field.p
+        p, step = field.p, field.dot_chunk
+        if A.shape[1] <= step:
+            return A.dot(B) % p
+        return sum(A[:, k : k + step].dot(B[k : k + step]) % p
+                   for k in range(0, A.shape[1], step)) % p
     return field.reduce(A.dot(B))
 
 
@@ -429,7 +435,7 @@ def kernel_basis(m: Mat) -> Mat:
     for k, f in enumerate(free):
         out[f, k] = 1
         for i, c in enumerate(piv):
-            out[c, k] = -r.a[i, f] if isinstance(m.field, RationalField) else (-r.a[i, f]) % m.field.p
+            out[c, k] = -r.a[i, f]
     return Mat(m.field, out)
 
 
@@ -496,8 +502,7 @@ def quotient_coords(sub: Mat) -> QuotientCoords:
     for k, f in enumerate(free):
         proj[k, f] = 1
         for i, c in enumerate(piv):
-            v = -red.a[i, f]
-            proj[k, c] = v if isinstance(field, RationalField) else v % field.p
+            proj[k, c] = -red.a[i, f]
     section = field.zeros((n, len(free)))
     for k, f in enumerate(free):
         section[f, k] = 1
@@ -508,6 +513,31 @@ def quotient_coords(sub: Mat) -> QuotientCoords:
         pivots=piv,
         free=free,
     )
+
+
+def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, QuotientCoords, Mat, Mat]:
+    """Canonical coordinates on ker(d_out) / im(d_in), for d_out @ d_in = 0.
+
+    Returns (Z, qc, include, project): Z is the canonical kernel basis of
+    d_out, qc the quotient coordinates of the coboundaries inside Z,
+    include maps class coordinates to representative cocycles, and project
+    maps the ambient space to class coordinates (meaningful on cocycles,
+    killing coboundaries), with project @ include = identity.
+    """
+    field = d_out.field
+    Z = kernel_basis(d_out)
+    if d_in.ncols:
+        inz = solve(Z, d_in)
+        assert inz is not None, "coboundaries escaped the cocycles"
+    else:
+        inz = Mat.zeros(field, Z.ncols, 0)
+    qc = quotient_coords(inz)
+    include = Z @ qc.section
+    if Z.ncols:
+        project = qc.proj @ left_inverse(Z)
+    else:
+        project = Mat.zeros(field, 0, Z.nrows)
+    return Z, qc, include, project
 
 
 class IncrementalSpan:
@@ -553,16 +583,18 @@ class IncrementalSpan:
         self.rows[lead] = w
         return True
 
-    def add_mat(self, m: Mat) -> int:
-        added = 0
-        for j in range(m.ncols):
-            if self.add(m.a[:, j]):
-                added += 1
-        return added
-
     def basis(self) -> Mat:
         """Current basis as columns, in leading-index order."""
         if not self.rows:
             return Mat.zeros(self.field, self.dim, 0)
         cols = [self.rows[k] for k in sorted(self.rows)]
         return Mat(self.field, np.array(cols, dtype=object).T)
+
+
+def random_mat(rng: Random, field: Field, r: int, c: int) -> Mat:
+    """Random r x c matrix drawn row by row: uniform over F_p, in [-2, 2] over Q."""
+    if isinstance(field, PrimeField):
+        data = [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
+    else:
+        data = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+    return Mat(field, np.array(data, dtype=object).reshape(r, c))

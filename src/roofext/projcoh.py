@@ -347,15 +347,6 @@ class CohTable:
     def chi(self) -> int:
         return sum((-1) ** q * v for q, (v, _) in sorted(self.entries.items()))
 
-    def pretty(self) -> str:
-        name = f"{self.descriptor.space}, {self.descriptor.describe()}"
-        lines = [f"cohomology of {name}"]
-        for q in sorted(self.entries):
-            v, rule = self.entries[q]
-            lines.append(f"  h^{q} = {v:<6} [{rule}]")
-        lines.append(f"  chi = {self.chi()}")
-        return "\n".join(lines)
-
 
 def cohomology_table(desc: SheafDescriptor) -> CohTable:
     """Evaluate a descriptor to its full h^q column with rule traces."""

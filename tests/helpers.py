@@ -13,7 +13,7 @@ import numpy as np
 
 from roofext.algebra import ModuleHom, coordinates_in_hom_basis, hom_space
 from roofext.complexes import ChainMap, Complex
-from roofext.linalg import Mat, PrimeField, kernel_basis, rank, solve
+from roofext.linalg import Mat, kernel_basis, random_mat, rank, solve
 
 
 @dataclass
@@ -60,11 +60,7 @@ class ChainMapData:
         if self.cocycles.ncols == 0:
             coeffs = Mat.zeros(field, self.total, 1)
         else:
-            if isinstance(field, PrimeField):
-                w = [[rng.randrange(field.p)] for _ in range(self.cocycles.ncols)]
-            else:
-                w = [[rng.randint(-2, 2)] for _ in range(self.cocycles.ncols)]
-            coeffs = self.cocycles @ Mat(field, w)
+            coeffs = self.cocycles @ random_mat(rng, field, self.cocycles.ncols, 1)
         return self.materialize(coeffs), coeffs
 
     def is_null_homotopic(self, coeffs: Mat) -> bool:

@@ -1,5 +1,6 @@
 """Fixed showcase instances and the seeded random generators."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from roofext.algebra import random_bound_quiver_algebra
 from roofext.complexes import cohomology
 from roofext.errors import DegenerateFiltrationError
 from roofext.ext import class_of_extension
+from roofext.jsonio import complex_to_json, dump_canonical, extension_to_json, filtration_to_json
 from roofext.instances import (
     ka3_algebra,
     ka3_first_step,
@@ -177,3 +179,40 @@ def test_sum_complexes_edge_cases():
     assert sum_complexes([c]) == c
     with pytest.raises(ValueError, match="at least one"):
         sum_complexes([])
+
+
+# -- pinned seeded draws ------------------------------------------------------
+
+# sha256 of the canonical JSON of each draw below from Random(0xD1A5).  A
+# refactor of the generators must draw the same values in the same order, so
+# these digests only change when the instances themselves are meant to.
+DRAW_DIGESTS = {
+    ("filtration", "f2"): "bbf2391302398c9471c08adafda134a368595e08a1cbf2407235e2665e92f9aa",
+    ("filtration", "f3"): "b459cb00e1eec6aee2b788990c76f5add4cbd2772f5650886fbcb20de3007f66",
+    ("filtration", "q"): "b919a9abb8cb0c87a7fedcb88ce359d3c324f065813b6a4efd762ce5827b1b2a",
+    ("ses_pair", "f2"): "59d2d4bea71cde1cfbe2e8561a218ba100e81a1249d57f5ea7f407f3be4d48bf",
+    ("ses_pair", "f3"): "5e0181b07eb36bc7e720ffd9523da96dbdc8a880a0b808e7f7fe951c49eb95c4",
+    ("ses_triple", "f2"): "fbdef1488cbe4717bd7d2da15bce4b44d6f8952175a4cf7be971cedba7882705",
+    ("ses_triple", "f3"): "448374bd808fff5cfc0dedd514e1ff411c4de4df719553e5b229c5fd8b0321bc",
+    ("complex", "f2"): "ea699760a0f45005c122f0f15c15c06ba630f4ff2b7e9a910eb6b9e3139974eb",
+    ("complex", "f3"): "7da526b064c0e80a7d70681b0534ee9169c49b33cbd17d87686badf6b0cc1c5b",
+    ("complex", "q"): "3f5910630649b9dcb3065c3783176609f532c776696c2b41846efbc00bb874ed",
+}
+
+
+def _seeded_draws(kind, field):
+    rng = Random(0xD1A5)
+    if kind == "filtration":
+        return [filtration_to_json(random_filtration(rng, field)) for _ in range(3)]
+    if kind == "ses_pair":
+        return [[extension_to_json(e) for e in random_ses_pair(rng, field)] for _ in range(2)]
+    if kind == "ses_triple":
+        return [extension_to_json(e) for e in random_ses_triple(rng, field)]
+    alg = random_bound_quiver_algebra(rng, field)
+    return [complex_to_json(random_complex(rng, alg)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("kind, name", sorted(DRAW_DIGESTS))
+def test_seeded_draws_are_pinned(kind, name):
+    docs = _seeded_draws(kind, field_from_name(name))
+    assert hashlib.sha256(dump_canonical(docs).encode()).hexdigest() == DRAW_DIGESTS[kind, name]

@@ -25,6 +25,7 @@ from roofext.linalg import (
     rank,
     rref,
     solve,
+    subquotient,
     vstack,
 )
 
@@ -129,6 +130,13 @@ def test_add_distributes(field, r, s, entries):
     assert -(a - b) == b - a
 
 
+def test_matmul_large_prime_long_inner_dimension():
+    # 9000 * (p-1)^2 exceeds int64; the product must still be exact
+    field = GF(33554393)
+    row = Mat(field, [[field.p - 1] * 9000])
+    assert (row @ row.T).entry(0, 0) == 9000
+
+
 # -- echelon form and rank ----------------------------------------------------
 
 
@@ -209,6 +217,39 @@ def test_quotient_coords_laws(field):
     assert q.dim == 2  # 4 ambient - rank 2
     assert (q.proj @ sub).is_zero()
     assert q.proj @ q.section == Mat.identity(field, q.dim)
+
+
+def _check_subquotient(d_out, d_in, dim):
+    Z, qc, include, project = subquotient(d_out, d_in)
+    field = d_out.field
+    assert qc.dim == dim and include.shape == (d_out.ncols, dim)
+    assert project.shape == (dim, d_out.ncols)
+    assert (d_out @ Z).is_zero() and (d_out @ include).is_zero()
+    assert project @ include == Mat.identity(field, dim)
+    assert (project @ d_in).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_subquotient_laws(field):
+    # d_out kills e1, e2; d_in hits e1 + e2, leaving a one-dimensional class
+    d_out = _mat(field, [[0, 0, 1]])
+    d_in = _mat(field, [[1], [1], [0]])
+    _check_subquotient(d_out, d_in, 1)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_subquotient_zero_kernel(field):
+    d_out = Mat.identity(field, 2)
+    _check_subquotient(d_out, Mat.zeros(field, 2, 3), 0)
+    _check_subquotient(d_out, Mat.zeros(field, 2, 0), 0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_subquotient_without_incoming_columns(field):
+    d_out = _mat(field, [[1, 1, 0]])
+    Z, _, _, _ = subquotient(d_out, Mat.zeros(field, 3, 0))
+    assert Z.ncols == 2
+    _check_subquotient(d_out, Mat.zeros(field, 3, 0), 2)
 
 
 def test_quotient_of_full_space_is_zero():
