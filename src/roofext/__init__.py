@@ -8,6 +8,7 @@ tables on projective spaces — all in exact arithmetic over Q or F_p.
 from .errors import (
     AmbiguousChaseError,
     DegenerateFiltrationError,
+    InvariantError,
     MiddleMismatchError,
     NotSubmoduleError,
     SchemaError,

@@ -10,6 +10,11 @@ algebras of small quivers truncated by paths of length two or three, for
 which the Jacobson radical is known structurally (spanned by the nontrivial
 paths).  That radical powers Nakayama-style minimal generator picking in
 the resolution builder.
+
+Submodule closures take one round, not a fixed-point loop: for a unital
+associative action the submodule generated by G is A*G = span{e_i g}, which
+is action-stable because e_j (e_i g) = (e_j e_i) g and contains G because
+1 lies in A.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from random import Random
 
 import numpy as np
 
-from .errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
+from .errors import DegenerateFiltrationError, InvariantError, NotSubmoduleError, SchemaError
 from .linalg import (
     Field,
     IncrementalSpan,
     Mat,
     PrimeField,
     QQ,
+    _dot,
     block_diag,
     hstack,
     kernel_basis,
@@ -187,6 +193,24 @@ class Module:
         if self._action is not None:
             return self._action[i] @ vecs
         return self._free_act(self.algebra.left_mult(i), vecs)
+
+    def act_all(self, vecs: Mat) -> Mat:
+        """[e_0 vecs | e_1 vecs | ...]: every basis vector's action, side by side.
+
+        One product with the stacked action matrices, cached.  A free module
+        of rank r is r blocks of the regular module, so it stacks the left
+        multiplications and applies them to all r blocks at once; an
+        explicit module is one block.
+        """
+        n, c = self.algebra.dim, vecs.ncols
+        free = self._action is None
+        a, r = (n, self.free_rank) if free else (self.dim, 1)
+        if "stacked" not in self._cache:
+            mats = [self.algebra.left_mult(i) for i in range(n)] if free else self._action
+            self._cache["stacked"] = np.vstack([m.a for m in mats])
+        blocks = vecs.a.reshape(r, a, c).transpose(1, 0, 2).reshape(a, r * c)
+        out = _dot(self.field, self._cache["stacked"], blocks).reshape(n, a, r, c)
+        return Mat(self.field, out.transpose(2, 1, 0, 3).reshape(self.dim, n * c))
 
     def act_right(self, i: int, mat: Mat) -> Mat:
         """mat composed with the action of e_i on this module (mat @ A_i)."""
@@ -379,46 +403,44 @@ def vector_space_module(field: Field, dim: int, label: str = "") -> Module:
 
 
 def close_span(module: Module, span: IncrementalSpan, fresh: list[np.ndarray]) -> None:
-    """Grow span until it is action-stable, acting on fresh vectors first.
+    """Add the submodule generated by the fresh vectors to an action-stable span.
 
-    The vectors in fresh are acted on but not added themselves; every image
-    that enlarges the span is acted on in the next round.
+    One round suffices: the submodule generated by G is A*G = span{e_i g},
+    action-stable since e_j (e_i g) = (e_j e_i) g, and it contains G since
+    1 lies in A.  A sum of submodules is again a submodule.
     """
-    while fresh:
-        batch = Mat(module.field, np.array(fresh, dtype=object).T)
-        fresh = []
-        for i in range(module.algebra.dim):
-            hit = module.act(i, batch)
-            for j in range(hit.ncols):
-                v = hit.a[:, j]
-                if span.add(v):
-                    fresh.append(v.copy())
+    if fresh:
+        hit = module.act_all(Mat(module.field, np.array(fresh, dtype=object).T))
+        for j in range(hit.ncols):
+            span.add(hit.a[:, j])
 
 
-def _closure(module: Module, gens: Mat) -> Mat:
-    """Canonical basis of the submodule generated by the given columns."""
-    span = IncrementalSpan(module.field, module.dim)
-    fresh = [gens.a[:, j].copy() for j in range(gens.ncols) if span.add(gens.a[:, j])]
-    close_span(module, span, fresh)
-    basis = span.basis()
-    red, piv = rref(basis.T)
-    return red.take_rows(range(len(piv))).T
+def _closure(module: Module, gens: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Canonical basis of the submodule generated by the given columns.
+
+    That submodule is A*G = span{e_i g} (see close_span), so one RREF of all
+    action images gives it.  The basis is the transposed RREF; the returned
+    pivots index the rows where it is the identity.
+    """
+    red, piv = rref(module.act_all(gens).T)
+    return red.take_rows(range(len(piv))).T, piv
 
 
 def submodule(module: Module, gens: Mat, label: str = "") -> ModuleHom:
     """Inclusion of the submodule generated by the given column vectors.
 
     The submodule carries the induced action; its basis is the canonical
-    reduced one, so equal subspaces give equal modules.
+    reduced one, so equal subspaces give equal modules.  The basis is the
+    identity on its pivot rows, so the action coordinates are those rows of
+    the moved basis; one exact product checks them.
     """
-    basis = _closure(module, gens)
-    sub_dim = basis.ncols
-    action = []
-    for i in range(module.algebra.dim):
-        moved = module.act(i, basis)
-        coords = solve(basis, moved)
-        assert coords is not None, "closure failed to be action-stable"
-        action.append(coords)
+    basis, piv = _closure(module, gens)
+    moved = module.act_all(basis)
+    coords = moved.take_rows(piv)
+    if basis @ coords != moved:
+        raise InvariantError("closure failed to be action-stable")
+    r = basis.ncols
+    action = [coords.take_cols(range(i * r, (i + 1) * r)) for i in range(module.algebra.dim)]
     sub = Module(module.algebra, action=action, label=label)
     return ModuleHom(sub, module, basis, check=False)
 

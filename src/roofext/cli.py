@@ -9,9 +9,11 @@ report).
 
 Exit codes: 0 success, 1 a checked property failed, 2 malformed input
 (schema), 3 semantic mismatch (e.g. non-composable inputs), 4 degenerate
-filtration.  JSON output is canonical — sorted keys, no whitespace — so
-identical inputs and seeds produce byte-identical bytes.  Input tokens of
-the form `fixture:NAME` resolve to the bundled example files.
+filtration, 5 internal error (a failed invariant check or an inconsistent
+long-exact-sequence chase: a bug, not bad input).  JSON output is
+canonical — sorted keys, no whitespace — so identical inputs and seeds
+produce byte-identical bytes.  Input tokens of the form `fixture:NAME`
+resolve to the bundled example files.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from random import Random
 
 from . import jsonio
 from .errors import (
+    AmbiguousChaseError,
     DegenerateFiltrationError,
+    InvariantError,
     MiddleMismatchError,
     NotSubmoduleError,
     SchemaError,
@@ -48,6 +52,7 @@ EXIT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_SEMANTIC = 3
 EXIT_DEGENERATE = 4
+EXIT_INTERNAL = 5
 
 RNG_ALGORITHM = "mersenne-twister"
 
@@ -420,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateFiltrationError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (InvariantError, AmbiguousChaseError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Module, ModuleHom, hom_space, trivial_algebra, vector_space_module
-from .errors import SchemaError
+from .errors import InvariantError, SchemaError
 from .linalg import Mat, rank, solve, subquotient
 
 __all__ = [
@@ -359,7 +359,8 @@ def find_homotopy(f: ChainMap, g: ChainMap | None = None) -> Homotopy | None:
         if not m.is_zero():
             comps[n] = ModuleHom(x.obj(n), y.obj(n - 1), m, check=False)
     h = Homotopy(x, y, comps)
-    assert h.boundary() == diff_map, "homotopy solve returned an invalid witness"
+    if h.boundary() != diff_map:
+        raise InvariantError("homotopy solve returned an invalid witness")
     return h
 
 

@@ -40,6 +40,15 @@ class TruncationError(ValueError):
     """An Ext degree beyond the resolution truncation was requested."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, never bad input.
+
+    Raised explicitly rather than by `assert`, so the checks also run under
+    `python -O`.  Deliberately not a ValueError, so it is never mistaken for
+    a schema error.
+    """
+
+
 class AmbiguousChaseError(ArithmeticError):
     """A long-exact-sequence chase produced an inconsistent dimension.
 

@@ -34,7 +34,7 @@ from .algebra import (
     submodule,
     submodule_quotient,
 )
-from .errors import MiddleMismatchError, SchemaError, TruncationError
+from .errors import InvariantError, MiddleMismatchError, SchemaError, TruncationError
 from .linalg import (
     IncrementalSpan,
     Mat,
@@ -115,7 +115,8 @@ def minimal_generators(ambient: Module, basis: Mat) -> Mat:
         cols = [ambient.rho(rad.a[:, j], basis) for j in range(rad.ncols)]
         radimg = hstack(cols) if cols else Mat.zeros(ambient.field, ambient.dim, 0)
         coords = solve(basis, radimg)
-        assert coords is not None, "radical did not preserve the span"
+        if coords is None:
+            raise InvariantError("radical did not preserve the span")
         qc = quotient_coords(coords)
         return basis.take_cols(qc.free)
     return _greedy_generators(ambient, basis)
@@ -129,11 +130,11 @@ def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
         v = basis.a[:, j]
         if not span.contains(v):
             gens.append(np.array(v, copy=True))
-            close_span(ambient, span, [np.array(v, copy=True)])
+            close_span(ambient, span, [v])
 
     def _spans_all(cand: list[np.ndarray]) -> bool:
         sp = IncrementalSpan(ambient.field, ambient.dim)
-        close_span(ambient, sp, [np.array(g, copy=True) for g in cand])
+        close_span(ambient, sp, cand)
         return sp.rank == total
 
     improved = True
@@ -388,7 +389,8 @@ def lift_solve(matrix: Mat, rhs: Mat, rng: Random | None = None) -> Mat:
     stays valid, which is exactly what well-definedness tests need.
     """
     sol = solve(matrix, rhs)
-    assert sol is not None, "lift failed: right-hand side not in the image"
+    if sol is None:
+        raise InvariantError("lift failed: right-hand side not in the image")
     if rng is not None:
         K = kernel_basis(matrix)
         if K.ncols and sol.ncols:
@@ -504,7 +506,8 @@ def class_of_extension(e: ExtensionSeq, rng: Random | None = None) -> ExtElement
     rhs = eval_free_images(e.mods[1], cur, res.gens[i])
     c = lift_solve(e.maps[0].matrix, rhs, rng)
     chk = eval_free_images(N, c, res.gens[i + 1])
-    assert chk.is_zero(), "lifted cocycle fails to vanish on the next syzygies"
+    if not chk.is_zero():
+        raise InvariantError("lifted cocycle fails to vanish on the next syzygies")
     return ext_element_from_images(M, N, i, c)
 
 

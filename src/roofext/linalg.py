@@ -21,6 +21,8 @@ from random import Random
 
 import numpy as np
 
+from .errors import InvariantError
+
 __all__ = [
     "Field",
     "RationalField",
@@ -396,7 +398,8 @@ def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
             for j in range(ncols):
                 val = pv * rows[i][j] - f * rows[r][j]
                 q, rem = divmod(val, prev)
-                assert rem == 0, "fraction-free elimination lost exact divisibility"
+                if rem:
+                    raise InvariantError("fraction-free elimination lost exact divisibility")
                 new.append(q)
             rows[i] = new
         prev = pv
@@ -528,7 +531,8 @@ def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, QuotientCoords, Mat, Mat]:
     Z = kernel_basis(d_out)
     if d_in.ncols:
         inz = solve(Z, d_in)
-        assert inz is not None, "coboundaries escaped the cocycles"
+        if inz is None:
+            raise InvariantError("coboundaries escaped the cocycles")
     else:
         inz = Mat.zeros(field, Z.ncols, 0)
     qc = quotient_coords(inz)
@@ -543,8 +547,8 @@ def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, QuotientCoords, Mat, Mat]:
 class IncrementalSpan:
     """Growing subspace with O(dim) membership tests.
 
-    Holds an echelonized set of row vectors keyed by leading index; used for
-    submodule closures where vectors arrive one at a time.
+    Holds an echelonized set of row vectors keyed by leading index; used by
+    the greedy generator picker, which tests candidates one at a time.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -582,13 +586,6 @@ class IncrementalSpan:
             w = self.field.reduce(np.array([x / Fraction(c) for x in w], dtype=object))
         self.rows[lead] = w
         return True
-
-    def basis(self) -> Mat:
-        """Current basis as columns, in leading-index order."""
-        if not self.rows:
-            return Mat.zeros(self.field, self.dim, 0)
-        cols = [self.rows[k] for k in sorted(self.rows)]
-        return Mat(self.field, np.array(cols, dtype=object).T)
 
 
 def random_mat(rng: Random, field: Field, r: int, c: int) -> Mat:

@@ -19,7 +19,7 @@ from random import Random
 
 from .algebra import Filtration, Module, ModuleHom, direct_sum, submodule_quotient
 from .complexes import ChainMap, Complex, Homotopy, cohomology, is_quasi_iso, shift
-from .errors import MiddleMismatchError, SchemaError, UnsupportedEndpointsError
+from .errors import InvariantError, MiddleMismatchError, SchemaError, UnsupportedEndpointsError
 from .ext import (
     ExtElement,
     ExtensionSeq,
@@ -136,8 +136,8 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
     p1 = ChainMap(apex, z1, {n: parts[n][1][0] for n in apex.degrees()}, check=True)
     p2 = ChainMap(apex, z2, {n: parts[n][1][1] for n in apex.degrees()}, check=True)
     witness = Homotopy(apex, mid, {n: parts[n][1][2] for n in apex.degrees()})
-    assert witness.boundary() == (u @ p1) - (v @ p2), \
-        "homotopy pullback witness fails to bound the square"
+    if witness.boundary() != (u @ p1) - (v @ p2):
+        raise InvariantError("homotopy pullback witness fails to bound the square")
     return Roof(r1.source, r2.target, apex, r1.s @ p1, r2.g @ p2)
 
 
@@ -190,7 +190,8 @@ def to_ext_class(r: Roof, rng: Random | None = None) -> ExtElement:
     if (k * (k - 1) // 2) % 2:
         c = c.scale(-1)
     chk = eval_free_images(n, c, res.gens[k + 1])
-    assert chk.is_zero(), "roof cocycle fails to vanish on the next syzygies"
+    if not chk.is_zero():
+        raise InvariantError("roof cocycle fails to vanish on the next syzygies")
     return ext_element_from_images(m, n, k, c)
 
 

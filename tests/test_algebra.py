@@ -1,9 +1,16 @@
 """Finite-dimensional algebras, modules, and the submodule calculus."""
 
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from random import Random
 
+import numpy as np
+import pytest
+
+import roofext
 from roofext.algebra import (
     Algebra,
     Filtration,
@@ -22,8 +29,8 @@ from roofext.algebra import (
     vector_space_module,
 )
 from roofext.errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
-from roofext.instances import kx3_filtration, kx3_regular, kx3_simple
-from roofext.linalg import GF, QQ, Mat, rank
+from roofext.instances import kx3_filtration, kx3_regular, kx3_simple, random_module
+from roofext.linalg import GF, QQ, Mat, hstack, random_mat, rank, rref, solve
 
 F2 = GF(2)
 F3 = GF(3)
@@ -173,6 +180,70 @@ def test_submodule_quotient_rejects_unstable_subspace():
     span_of_unit = Mat(QQ, [[1], [0], [0]])  # x * 1 = x escapes the span
     with pytest.raises(NotSubmoduleError):
         submodule_quotient(amb, span_of_unit)
+
+
+def _reference_submodule(module, gens):
+    """Fixed-point closure: act and re-echelonize until the span stops
+    growing; the induced action comes from solve."""
+
+    def canonical(cols):
+        red, piv = rref(cols.T)
+        return red.take_rows(range(len(piv))).T
+
+    basis = canonical(gens)
+    while True:
+        grown = canonical(hstack([basis] + [module.act(i, basis)
+                                            for i in range(module.algebra.dim)]))
+        if grown.ncols == basis.ncols:
+            break
+        basis = grown
+    return basis, [solve(basis, module.act(i, basis)) for i in range(module.algebra.dim)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_submodule_matches_fixed_point_closure(field):
+    rng = Random(0xC105E)
+    for _ in range(6):
+        alg = random_bound_quiver_algebra(rng, field)
+        for module in (free_module(alg, rng.randint(1, 2)), random_module(rng, alg)):
+            gens = random_mat(rng, field, module.dim, rng.randint(0, 2))
+            assert module.act_all(gens) == hstack([module.act(i, gens) for i in range(alg.dim)])
+            incl = submodule(module, gens)
+            basis, action = _reference_submodule(module, gens)
+            assert incl.matrix == basis
+            assert [incl.source.act_mat(i) for i in range(alg.dim)] == action
+            incl.source.validate()
+
+
+# Each probe must raise InvariantError even with asserts stripped by -O.
+_INVARIANT_PROBES = {
+    "subquotient": """
+from roofext.linalg import GF, Mat, subquotient
+subquotient(Mat.identity(GF(3), 2), Mat(GF(3), [[1], [0]]))
+""",
+    "non-associative-submodule": """
+from roofext.algebra import Module, submodule, truncated_polynomial_algebra
+from roofext.linalg import GF, Mat
+F3 = GF(3)
+alg = truncated_polynomial_algebra(F3, 2)  # x * x = 0
+shift = Mat(F3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # but x acts with x^2 != 0
+module = Module(alg, action=[Mat.identity(F3, 3), shift], check=False)
+submodule(module, Mat(F3, [[1], [0], [0]]))
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVARIANT_PROBES))
+def test_invariants_raise_under_python_O(name):
+    src = str(Path(roofext.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = textwrap.indent(_INVARIANT_PROBES[name].strip(), "    ")
+    script = (f"import sys\nfrom roofext.errors import InvariantError\ntry:\n{probe}\n"
+              "except InvariantError:\n    print('InvariantError', sys.flags.optimize)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "InvariantError 1", proc.stderr
 
 
 def test_direct_sum_identities():

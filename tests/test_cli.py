@@ -4,6 +4,7 @@ Every test drives `main(argv)` in-process and reads stdout through capsys;
 one smoke test at the end exercises the installed console script.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import roofext.cli as cli
 from roofext.cli import main
+from roofext.errors import AmbiguousChaseError, InvariantError
 
 
 def run(capsys, argv):
@@ -163,6 +165,59 @@ def test_lemma_check_degenerate_filtration(capsys, tmp_path):
 def test_schema_errors_exit_2(capsys, argv):
     rc, _ = run(capsys, argv)
     assert rc == 2
+
+
+# Full canonical --json output on the bundled fixtures, coordinates included,
+# so a change of resolution generators or Ext basis shows up here.  ROADMAP
+# item 5 (deriving the radical of JSON algebras) changes the resolutions and
+# may re-record these digests, with a note in CHANGES.md.
+FIXTURE_OUTPUT_DIGESTS = {
+    "ext-kx3": (["ext", "fixture:kx3_simple", "fixture:kx3_simple",
+                 "--degree", "0", "1", "2", "3"],
+                "996179b5f6924f5645f6ccba1bf44bb0ce06d2a3ea4f01b8e8ed6b845cbe6aac"),
+    "ext-kx3-regular": (["ext", "fixture:kx3_simple", "fixture:kx3_regular",
+                         "--degree", "0", "1", "2", "3"],
+                        "d49d3a2d2869e13bdb5767adf33ae9ec4fc01c160c42abce8f7f1934b06d3ddb"),
+    "ext-ka3-12": (["ext", "fixture:ka3_simple1", "fixture:ka3_simple2",
+                    "--degree", "0", "1", "2", "3"],
+                   "6d6df2a5c59a2cfd6027cf79d75284ddb3799be4e16f82d3f5fe46603b7a7d93"),
+    "ext-ka3-13": (["ext", "fixture:ka3_simple1", "fixture:ka3_simple3",
+                    "--degree", "0", "1", "2", "3"],
+                   "9104222c3e95fa0a6e418fcaf925852d7d075da05d5ddd796a0c4630b40fba74"),
+    "yoneda-ka3": (["yoneda", "fixture:ka3_ses_12", "fixture:ka3_ses_23"],
+                   "c87ea924564280b953300283992f98bed220c36dfeafcf181682a269bb9569da"),
+    "yoneda-kx3": (["yoneda", "fixture:kx3_ses_top", "fixture:kx3_ses_bottom"],
+                   "0149f7a0261c9d0db689ae31917e88fe1e26984be102b75a1d5f38c0b55e5720"),
+    "roof-ka3": (["roof", "fixture:ka3_ses_12", "fixture:ka3_ses_23"],
+                 "03c74f95140062848ac1e34642e44aa2807385707dfd03697e9ecbea46f8b555"),
+    "roof-kx3": (["roof", "fixture:kx3_ses_top", "fixture:kx3_ses_bottom"],
+                 "99894efa7d35e7cb1f8030dd3c0f12163ce518495df1a3cdbcdf60f076830bf6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_OUTPUT_DIGESTS))
+def test_fixture_json_output_is_pinned(capsys, name):
+    """Digests recorded before the one-round submodule closure; they still hold."""
+    argv, digest = FIXTURE_OUTPUT_DIGESTS[name]
+    rc, out = run(capsys, argv + ["--json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- internal errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [InvariantError("closure failed to be action-stable"),
+                                   AmbiguousChaseError("negative dimension")],
+                         ids=["invariant", "ambiguous-chase"])
+def test_internal_errors_exit_5(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "ext_group", broken)
+    rc = main(["ext", "fixture:kx3_simple", "fixture:kx3_simple"])
+    assert rc == 5
+    assert "internal error" in capsys.readouterr().err
 
 
 # -- projcoh ----------------------------------------------------------------------

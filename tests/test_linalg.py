@@ -271,4 +271,3 @@ def test_incremental_span_growth():
     assert sp.rank == 2
     assert sp.contains(np.array([1, 1, 1], dtype=np.int64))
     assert not sp.contains(np.array([0, 0, 1], dtype=np.int64))
-    assert sp.basis().ncols == 2
