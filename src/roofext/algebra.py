@@ -5,6 +5,10 @@ of action matrices, one per algebra basis vector.  Free modules are kept
 symbolic (rank + block structure) so resolutions never materialize the
 block-diagonal action of a large free module just to multiply by it.
 
+Every action is one block product: a module is r blocks of size a, and e_i
+acts on each block by the same a x a matrix M_i -- r = 1 and M_i = action[i]
+for an explicit module, a = dim A and M_i = left_mult(i) for a free one.
+
 The randomized suites draw algebras from bound quiver algebras: path
 algebras of small quivers truncated by paths of length two or three, for
 which the Jacobson radical is known structurally (spanned by the nontrivial
@@ -31,7 +35,6 @@ from .linalg import (
     Field,
     IncrementalSpan,
     Mat,
-    PrimeField,
     QQ,
     _dot,
     block_diag,
@@ -117,12 +120,7 @@ class Algebra:
             raise SchemaError("unit fails: e_j * 1 != e_j for some j")
         for i, j in itertools.product(range(n), repeat=2):
             lhs = self.left_mult(i) @ self.left_mult(j)
-            rhs = self.field.zeros((n, n))
-            cij = self.mult[i, j]
-            for k in range(n):
-                if cij[k] != 0:
-                    rhs = rhs + cij[k] * self.left_mult(k).a
-            if lhs != Mat(self.field, rhs):
+            if lhs != self.left_mult_of(self.mult[i, j]):
                 raise SchemaError(f"associativity fails on basis triple (e_{i}, e_{j}, *)")
 
     def key(self) -> tuple:
@@ -150,7 +148,7 @@ class Module:
 
     Explicit modules store one action matrix per algebra basis vector.
     Free modules store only their rank; actions are applied blockwise
-    through the regular representation.
+    through the regular representation (see _blocks).
     """
 
     def __init__(self, algebra: Algebra, action: list[Mat] | None = None,
@@ -186,64 +184,61 @@ class Module:
     def act_mat(self, i: int) -> Mat:
         if self._action is not None:
             return self._action[i]
+        if self.free_rank == 0:
+            return Mat.zeros(self.field, 0, 0)
         return block_diag([self.algebra.left_mult(i)] * self.free_rank)
+
+    def _blocks(self) -> tuple[int, int, np.ndarray]:
+        """(a, r, stacked): r blocks of size a, and e_i acts on every block by
+        stacked[i*a:(i+1)*a], cached."""
+        if "blocks" not in self._cache:
+            if self._action is None:
+                n = self.algebra.dim
+                mats, a, r = [self.algebra.left_mult(i) for i in range(n)], n, self.free_rank
+            else:
+                mats, a, r = self._action, self.dim, 1
+            self._cache["blocks"] = (a, r, np.vstack([m.a for m in mats]))
+        return self._cache["blocks"]
+
+    def _apply(self, stacked: np.ndarray, k: int, vecs: Mat) -> Mat:
+        """[M_0 vecs | ... | M_(k-1) vecs] for k stacked a x a matrices M_j,
+        each acting on every block: one product with all blocks side by side."""
+        a, r, _ = self._blocks()
+        c = vecs.ncols
+        blocks = vecs.a.reshape(r, a, c).transpose(1, 0, 2).reshape(a, r * c)
+        out = _dot(self.field, stacked, blocks).reshape(k, a, r, c)
+        return Mat(self.field, out.transpose(2, 1, 0, 3).reshape(self.dim, k * c))
 
     def act(self, i: int, vecs: Mat) -> Mat:
         """Action of e_i on column vectors."""
-        if self._action is not None:
-            return self._action[i] @ vecs
-        return self._free_act(self.algebra.left_mult(i), vecs)
+        a, _, stacked = self._blocks()
+        return self._apply(stacked[i * a : (i + 1) * a], 1, vecs)
 
     def act_all(self, vecs: Mat) -> Mat:
-        """[e_0 vecs | e_1 vecs | ...]: every basis vector's action, side by side.
-
-        One product with the stacked action matrices, cached.  A free module
-        of rank r is r blocks of the regular module, so it stacks the left
-        multiplications and applies them to all r blocks at once; an
-        explicit module is one block.
-        """
-        n, c = self.algebra.dim, vecs.ncols
-        free = self._action is None
-        a, r = (n, self.free_rank) if free else (self.dim, 1)
-        if "stacked" not in self._cache:
-            mats = [self.algebra.left_mult(i) for i in range(n)] if free else self._action
-            self._cache["stacked"] = np.vstack([m.a for m in mats])
-        blocks = vecs.a.reshape(r, a, c).transpose(1, 0, 2).reshape(a, r * c)
-        out = _dot(self.field, self._cache["stacked"], blocks).reshape(n, a, r, c)
-        return Mat(self.field, out.transpose(2, 1, 0, 3).reshape(self.dim, n * c))
+        """[e_0 vecs | e_1 vecs | ...]: every basis vector's action, side by side."""
+        return self._apply(self._blocks()[2], self.algebra.dim, vecs)
 
     def act_right(self, i: int, mat: Mat) -> Mat:
         """mat composed with the action of e_i on this module (mat @ A_i)."""
-        if self._action is not None:
-            return mat @ self._action[i]
-        L = self.algebra.left_mult(i)
-        a = self.algebra.dim
-        r = self.free_rank
-        out = [mat.a[:, t * a : (t + 1) * a] for t in range(r)]
-        field = self.field
-        blocks = [Mat(field, b) @ L for b in out]
-        return hstack(blocks) if blocks else Mat.zeros(field, mat.nrows, 0)
-
-    def _free_act(self, L: Mat, vecs: Mat) -> Mat:
-        a = self.algebra.dim
-        r = self.free_rank
-        if vecs.ncols == 0 or r == 0:
-            return Mat.zeros(self.field, self.dim, vecs.ncols)
-        if isinstance(self.field, PrimeField):
-            v = vecs.a.reshape(r, a, vecs.ncols)
-            out = np.einsum("xy,tyc->txc", L.a, v) % self.field.p
-            return Mat(self.field, out.reshape(self.dim, vecs.ncols))
-        blocks = [L @ Mat(self.field, vecs.a[t * a : (t + 1) * a, :]) for t in range(r)]
-        return Mat(self.field, np.vstack([b.a for b in blocks]))
+        a, r, stacked = self._blocks()
+        rows = mat.a.reshape(mat.nrows * r, a)
+        out = _dot(self.field, rows, stacked[i * a : (i + 1) * a])
+        return Mat(self.field, out.reshape(mat.nrows, self.dim))
 
     def rho(self, avec, vecs: Mat) -> Mat:
         """Action of the algebra element with coordinates avec."""
-        out = Mat.zeros(self.field, self.dim, vecs.ncols)
-        v = np.asarray(avec, dtype=object).reshape(-1)
-        for i in range(self.algebra.dim):
-            if v[i] != 0:
-                out = out + self.act(i, vecs).scale(v[i])
-        return out
+        a, _, stacked = self._blocks()
+        v = self.field.reduce(np.asarray(avec, dtype=object).reshape(1, -1))
+        m = _dot(self.field, v, stacked.reshape(self.algebra.dim, a * a))
+        return self._apply(m.reshape(a, a), 1, vecs)
+
+    @staticmethod
+    def from_act_all(algebra: Algebra, hit: Mat, label: str = "") -> "Module":
+        """Explicit module whose action matrices sit side by side in hit, as
+        act_all returns them: hit = [A_0 | A_1 | ...]."""
+        w = hit.ncols // algebra.dim
+        action = [hit.take_cols(range(i * w, (i + 1) * w)) for i in range(algebra.dim)]
+        return Module(algebra, action=action, label=label)
 
     def validate(self) -> None:
         n = self.algebra.dim
@@ -439,9 +434,7 @@ def submodule(module: Module, gens: Mat, label: str = "") -> ModuleHom:
     coords = moved.take_rows(piv)
     if basis @ coords != moved:
         raise InvariantError("closure failed to be action-stable")
-    r = basis.ncols
-    action = [coords.take_cols(range(i * r, (i + 1) * r)) for i in range(module.algebra.dim)]
-    sub = Module(module.algebra, action=action, label=label)
+    sub = Module.from_act_all(module.algebra, coords, label=label)
     return ModuleHom(sub, module, basis, check=False)
 
 
@@ -455,11 +448,11 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
     """
     basis = incl.matrix if isinstance(incl, ModuleHom) else incl
     qc = quotient_coords(basis)
-    for i in range(module.algebra.dim):
-        if not (qc.proj @ module.act(i, basis)).is_zero():
-            raise NotSubmoduleError(f"image not stable under the action of e_{i}")
-    action = [qc.proj @ module.act(i, qc.section) for i in range(module.algebra.dim)]
-    quot = Module(module.algebra, action=action)
+    escaped = (qc.proj @ module.act_all(basis)).a != 0
+    if escaped.any():
+        i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
+        raise NotSubmoduleError(f"image not stable under the action of e_{i}")
+    quot = Module.from_act_all(module.algebra, qc.proj @ module.act_all(qc.section))
     proj = ModuleHom(module, quot, qc.proj, check=False)
     return quot, proj, qc.section
 

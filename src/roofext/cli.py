@@ -9,8 +9,9 @@ report).
 
 Exit codes: 0 success, 1 a checked property failed, 2 malformed input
 (schema), 3 semantic mismatch (e.g. non-composable inputs), 4 degenerate
-filtration, 5 internal error (a failed invariant check or an inconsistent
-long-exact-sequence chase: a bug, not bad input).  JSON output is
+filtration (also a random sampler that gives up), 5 internal error (a
+failed invariant check, an inconsistent long-exact-sequence chase, or any
+other ValueError: a bug, not bad input).  JSON output is
 canonical — sorted keys, no whitespace — so identical inputs and seeds
 produce byte-identical bytes.  Input tokens of the form `fixture:NAME`
 resolve to the bundled example files.
@@ -92,6 +93,13 @@ def _parse_seed(text: str) -> int:
         return int(text, 16)
     except ValueError:
         raise SchemaError(f"seed must be hexadecimal, got {text!r}") from None
+
+
+def _parse_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"count must be an integer, got {text!r}") from None
 
 
 # -- ext -----------------------------------------------------------------------
@@ -223,7 +231,7 @@ def cmd_lemma_check(args) -> int:
     count = args.count
     if args.random is not None:
         if len(args.random) == 2:
-            seed, count = args.random[0], int(args.random[1])
+            seed, count = args.random[0], _parse_count(args.random[1])
         elif args.random:
             raise SchemaError("--random takes no arguments or SEED COUNT")
     if count < 1:
@@ -292,9 +300,10 @@ def cmd_projcoh(args) -> int:
         if not isinstance(entries, list) or not entries:
             raise SchemaError(f"{args.batch}: expected a nonempty 'descriptors' list")
         for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "space" not in entry or "sheaf" not in entry:
+            if not isinstance(entry, dict) or not all(
+                    isinstance(entry.get(k), str) for k in ("space", "sheaf")):
                 raise SchemaError(
-                    f"{args.batch}: descriptors[{i}] needs 'space' and 'sheaf'")
+                    f"{args.batch}: descriptors[{i}] needs 'space' and 'sheaf' strings")
             pairs.append((entry["space"], entry["sheaf"]))
     elif space and sheaf:
         pairs.append((space, sheaf))
@@ -425,12 +434,11 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateFiltrationError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvariantError, AmbiguousChaseError) as exc:
+    except (InvariantError, AmbiguousChaseError, ValueError) as exc:
+        # every input check raises SchemaError or a semantic error above, so
+        # any other ValueError broke an internal API contract
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -265,8 +265,7 @@ def cohomology(x: Complex, n: int) -> CohomologyData:
 def _compute_cohomology(x: Complex, n: int) -> CohomologyData:
     xn = x.obj(n)
     Z, _, include, project = subquotient(x.diff(n).matrix, x.diff(n - 1).matrix)
-    action = [project @ xn.act(i, include) for i in range(x.algebra.dim)]
-    module = Module(x.algebra, action=action)
+    module = Module.from_act_all(x.algebra, project @ xn.act_all(include))
     return CohomologyData(module=module, cocycles=Z, include=include, project=project)
 
 

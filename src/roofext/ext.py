@@ -84,21 +84,14 @@ def hom_from_free(target: Module, images: Mat) -> Mat:
     Free-module coordinates are blocks of algebra coordinates: entry
     t*dim(A) + s is the e_s coefficient of the t-th component.
     """
-    a = target.algebra.dim
-    out = target.field.zeros((target.dim, images.ncols * a))
-    for s in range(a):
-        out[:, s::a] = target.act(s, images).a
-    return Mat(target.field, out)
+    a, c = target.algebra.dim, images.ncols
+    hit = target.act_all(images).a.reshape(target.dim, a, c)
+    return Mat(target.field, hit.transpose(0, 2, 1).reshape(target.dim, c * a))
 
 
 def eval_free_images(target: Module, images: Mat, vecs: Mat) -> Mat:
     """Evaluate the hom given by generator images on free-coordinate vectors."""
-    a = target.algebra.dim
-    out = Mat.zeros(target.field, target.dim, vecs.ncols)
-    for s in range(a):
-        rows = Mat(target.field, np.ascontiguousarray(vecs.a[s::a, :]))
-        out = out + target.act(s, images) @ rows
-    return out
+    return hom_from_free(target, images) @ vecs
 
 
 def minimal_generators(ambient: Module, basis: Mat) -> Mat:

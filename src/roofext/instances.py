@@ -157,7 +157,7 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
         except DegenerateFiltrationError:  # pragma: no cover - guarded above
             continue
         return filt
-    raise RuntimeError("could not draw a nondegenerate filtration")
+    raise DegenerateFiltrationError(f"no nondegenerate filtration in {tries} tries")
 
 
 def random_ext_element(rng: Random, basis: list[ExtElement],

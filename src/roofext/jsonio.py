@@ -48,7 +48,7 @@ def dump_canonical(obj: Any) -> str:
 def parse_document(text: str, where: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer too long for int()
         raise SchemaError(f"{where} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be a JSON object")

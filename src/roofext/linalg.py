@@ -21,7 +21,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, SchemaError
 
 __all__ = [
     "Field",
@@ -89,9 +89,14 @@ class RationalField(Field):
         return out
 
     def parse(self, s):
+        if isinstance(s, (bool, float)):
+            raise TypeError(f"{s!r} is not an integer or an 'a/b' string")
         if isinstance(s, int):
             return Fraction(s)
-        return Fraction(str(s))
+        try:
+            return Fraction(str(s))
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
 
     def fmt(self, x):
         f = Fraction(x)
@@ -108,10 +113,11 @@ class PrimeField(Field):
     char: int
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        # the bound first: trial division of a huge modulus would not finish
         if p > _MAX_PRIME:
-            raise ValueError(f"modulus {p} exceeds supported bound {_MAX_PRIME}")
+            raise SchemaError(f"modulus {p} exceeds supported bound {_MAX_PRIME}")
+        if not _is_prime(p):
+            raise SchemaError(f"modulus {p} is not prime")
         self.p = p
         self.char = p
         self.name = f"f{p}"
@@ -125,6 +131,8 @@ class PrimeField(Field):
         return np.zeros(shape, dtype=np.int64)
 
     def parse(self, s):
+        if isinstance(s, (bool, float)):
+            raise TypeError(f"{s!r} is not an integer")
         return int(s) % self.p
 
     def fmt(self, x):
@@ -174,11 +182,14 @@ def field_from_name(name: str) -> Field:
     s = name.strip().lower()
     if s == "q":
         return QQ
-    if s.startswith("fp:"):
-        return GF(int(s[3:]))
-    if s.startswith("f") and s[1:].isdigit():
-        return GF(int(s[1:]))
-    raise ValueError(f"unknown field name {name!r} (expected q, f2, f3, or fp:<p>)")
+    digits = s[3:] if s.startswith("fp:") else s[1:] if s.startswith("f") else ""
+    if digits.isdecimal():
+        try:
+            p = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise SchemaError(f"modulus in field name {name[:16]!r}... is too large") from None
+        return GF(p)
+    raise SchemaError(f"unknown field name {name!r} (expected q, f2, f3, or fp:<p>)")
 
 
 class Mat:

@@ -212,6 +212,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_int(self) -> int:
+        tok = self.take()
+        try:
+            return int(tok)
+        except ValueError:
+            raise SchemaError(f"expected an integer in sheaf expression, got {tok!r}") from None
+
     def parse(self) -> SheafDescriptor:
         node = self.factor()
         while self.peek() == "*":
@@ -250,7 +257,7 @@ class _Parser:
             return _maybe_twist(self, _plain_o(self.space))
         if tok == "Omega":
             self.take("^")
-            p = int(self.take())
+            p = self.take_int()
             if self.space == "P1xP1":
                 raise SchemaError("Omega^p terms are supported on P^n only")
             n = space_dim(self.space)
@@ -272,10 +279,10 @@ def _plain_o(space: str) -> SheafDescriptor:
 def _maybe_twist(p: _Parser, node: SheafDescriptor) -> SheafDescriptor:
     while p.peek() == "(":
         p.take("(")
-        first = int(p.take())
+        first = p.take_int()
         if p.peek() == ",":
             p.take(",")
-            second = int(p.take())
+            second = p.take_int()
             p.take(")")
             if node.space == "P1xP1" or node.kind == "biline":
                 node = _tensor(node, SheafDescriptor(node.space, "biline", (first, second)))

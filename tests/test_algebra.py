@@ -29,6 +29,7 @@ from roofext.algebra import (
     vector_space_module,
 )
 from roofext.errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
+from roofext.ext import hom_from_free
 from roofext.instances import kx3_filtration, kx3_regular, kx3_simple, random_module
 from roofext.linalg import GF, QQ, Mat, hstack, random_mat, rank, rref, solve
 
@@ -178,7 +179,7 @@ def test_submodule_quotient_laws():
 def test_submodule_quotient_rejects_unstable_subspace():
     amb = kx3_regular(QQ)
     span_of_unit = Mat(QQ, [[1], [0], [0]])  # x * 1 = x escapes the span
-    with pytest.raises(NotSubmoduleError):
+    with pytest.raises(NotSubmoduleError, match="e_1"):
         submodule_quotient(amb, span_of_unit)
 
 
@@ -190,14 +191,34 @@ def _reference_submodule(module, gens):
         red, piv = rref(cols.T)
         return red.take_rows(range(len(piv))).T
 
+    mats = [module.act_mat(i) for i in range(module.algebra.dim)]
     basis = canonical(gens)
     while True:
-        grown = canonical(hstack([basis] + [module.act(i, basis)
-                                            for i in range(module.algebra.dim)]))
+        grown = canonical(hstack([basis] + [m @ basis for m in mats]))
         if grown.ncols == basis.ncols:
             break
         basis = grown
-    return basis, [solve(basis, module.act(i, basis)) for i in range(module.algebra.dim)]
+    return basis, [solve(basis, m @ basis) for m in mats]
+
+
+def _check_actions_against_act_mat(rng, module, gens):
+    """Every action method against the materialized matrices act_mat(i)."""
+    field, n = module.field, module.algebra.dim
+    mats = [module.act_mat(i) for i in range(n)]
+    assert module.act_all(gens) == hstack([m @ gens for m in mats])
+    coeffs = random_mat(rng, field, n, 1).a[:, 0]
+    element = Mat.zeros(field, module.dim, module.dim)
+    for c, m in zip(coeffs, mats):
+        element = element + m.scale(c)
+    assert module.rho(coeffs, gens) == element @ gens
+    left = random_mat(rng, field, 2, module.dim)
+    for i, m in enumerate(mats):
+        assert module.act(i, gens) == m @ gens
+        assert module.act_right(i, left) == left @ m
+    # free coordinate t*dim(A) + s is e_s on generator t
+    cols = [m @ gens.col(t) for t in range(gens.ncols) for m in mats]
+    expected = hstack(cols) if cols else Mat.zeros(field, module.dim, 0)
+    assert hom_from_free(module, gens) == expected
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
@@ -205,9 +226,10 @@ def test_submodule_matches_fixed_point_closure(field):
     rng = Random(0xC105E)
     for _ in range(6):
         alg = random_bound_quiver_algebra(rng, field)
-        for module in (free_module(alg, rng.randint(1, 2)), random_module(rng, alg)):
+        zero = Module(alg, action=[Mat.zeros(field, 0, 0)] * alg.dim)
+        for module in (*(free_module(alg, r) for r in range(3)), random_module(rng, alg), zero):
             gens = random_mat(rng, field, module.dim, rng.randint(0, 2))
-            assert module.act_all(gens) == hstack([module.act(i, gens) for i in range(alg.dim)])
+            _check_actions_against_act_mat(rng, module, gens)
             incl = submodule(module, gens)
             basis, action = _reference_submodule(module, gens)
             assert incl.matrix == basis

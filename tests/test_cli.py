@@ -160,11 +160,35 @@ def test_lemma_check_degenerate_filtration(capsys, tmp_path):
     ["lemma-check", "--filtration", "fixture:kx3_filtration", "--random"],
     ["lemma-check", "--filtration", "/tmp/never-exists-anywhere.json"],
     ["ext", "fixture:nope", "fixture:kx3_simple"],
+    ["lemma-check", "--random", "0x1", "abc"],
+    ["lemma-check", "--random", "--field", "f4"],
+    ["lemma-check", "--random", "--field", "fp:4"],
+    ["lemma-check", "--random", "--field", "fp:x"],
+    ["lemma-check", "--random", "--field", "fp:1000000000000000003"],
 ], ids=["one-random-arg", "bad-seed", "zero-count", "both-sources",
-        "missing-file", "missing-fixture"])
+        "missing-file", "missing-fixture", "bad-count", "field-f4", "field-fp4",
+        "field-fpx", "prime-above-bound"])
 def test_schema_errors_exit_2(capsys, argv):
-    rc, _ = run(capsys, argv)
-    assert rc == 2
+    assert main(argv) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, scalar", [("f3", 1.5), ("q", "1/0"), ("f4", 1)],
+                         ids=["float-over-fp", "zero-denominator", "field-f4"])
+def test_bad_scalars_and_fields_in_json_exit_2(capsys, tmp_path, field, scalar):
+    doc = {"algebra": {"field": field, "dim": 1, "unit": [1], "mult": [[[1]]]},
+           "dim": 1, "action": [[[scalar]]]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ext", str(path), str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_exhausted_filtration_sampler_exits_4(capsys, monkeypatch):
+    real = cli.random_filtration
+    monkeypatch.setattr(cli, "random_filtration", lambda rng, field: real(rng, field, tries=0))
+    assert main(["lemma-check", "--random"]) == 4
+    assert "0 tries" in capsys.readouterr().err
 
 
 # Full canonical --json output on the bundled fixtures, coordinates included,
@@ -208,8 +232,9 @@ def test_fixture_json_output_is_pinned(capsys, name):
 
 
 @pytest.mark.parametrize("error", [InvariantError("closure failed to be action-stable"),
-                                   AmbiguousChaseError("negative dimension")],
-                         ids=["invariant", "ambiguous-chase"])
+                                   AmbiguousChaseError("negative dimension"),
+                                   ValueError("composition endpoint mismatch")],
+                         ids=["invariant", "ambiguous-chase", "value-error"])
 def test_internal_errors_exit_5(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error
@@ -263,11 +288,21 @@ def test_projcoh_batch_fixture(capsys):
     ["projcoh", "P2", "O(("],
     ["projcoh", "P1xP1", "Omega^1"],
     ["projcoh", "P2"],
+    ["projcoh", "P2", "Omega^O"],
 ], ids=["bad-space", "dual-of-rank-2", "bad-syntax", "omega-on-product",
-        "missing-sheaf"])
+        "missing-sheaf", "non-integer-degree"])
 def test_projcoh_schema_errors(capsys, argv):
     rc, _ = run(capsys, argv)
     assert rc == 2
+
+
+@pytest.mark.parametrize("entry", [{"space": 5, "sheaf": "O(1)"},
+                                   {"space": "P2", "sheaf": ["O(1)"]}],
+                         ids=["int-space", "list-sheaf"])
+def test_projcoh_batch_non_string_entry_exits_2(tmp_path, entry):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"descriptors": [entry]}))
+    assert main(["projcoh", "--batch", str(path)]) == 2
 
 
 # -- prop2-report -----------------------------------------------------------------

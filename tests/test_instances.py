@@ -26,7 +26,7 @@ from roofext.instances import (
     random_ses_triple,
     sum_complexes,
 )
-from roofext.linalg import QQ, field_from_name
+from roofext.linalg import GF, QQ, field_from_name
 
 F2 = field_from_name("f2")
 F3 = field_from_name("f3")
@@ -102,6 +102,11 @@ def test_random_filtration_nondegenerate(field):
         assert 1 <= f.f1.source.dim < f.f2.source.dim < f.ambient.dim <= 6
         # nesting holds on the nose
         assert (f.f2 @ f.inclusion_12) == f.f1
+
+
+def test_random_filtration_gives_up_with_a_typed_error():
+    with pytest.raises(DegenerateFiltrationError, match="0 tries"):
+        random_filtration(Random(0), GF(2), tries=0)
 
 
 def test_random_filtration_deterministic():

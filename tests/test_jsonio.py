@@ -66,6 +66,15 @@ def test_mat_shape_and_scalar_errors():
         mat_from_json(QQ, [["x"]], 1, 1, "m")
 
 
+@pytest.mark.parametrize("field, scalar", [(F3, 1.5), (F3, True), (F3, "1/2"),
+                                           (QQ, 0.5), (QQ, False), (QQ, "1/0")],
+                         ids=["fp-float", "fp-bool", "fp-fraction", "q-float", "q-bool",
+                              "q-zero-denominator"])
+def test_mat_from_json_refuses_inexact_scalars(field, scalar):
+    with pytest.raises(SchemaError, match="bad scalar"):
+        mat_from_json(field, [[scalar]], 1, 1, "m")
+
+
 def test_algebra_roundtrip():
     for alg in (ka3_algebra(QQ), kx3_regular(F3).algebra):
         doc = algebra_to_json(alg)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roofext.errors import SchemaError
 from roofext.linalg import (
     GF,
     QQ,
@@ -46,14 +47,14 @@ def test_field_from_name():
     assert field_from_name("f2") == F2
     assert field_from_name("F3") == F3
     assert field_from_name("fp:7") == GF(7)
-    with pytest.raises(ValueError):
-        field_from_name("f4")  # not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="not prime"):
+        field_from_name("f4")
+    with pytest.raises(SchemaError, match="unknown field"):
         field_from_name("ring")
 
 
 def test_gf_requires_prime():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="not prime"):
         GF(6)
 
 
