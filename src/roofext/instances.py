@@ -6,18 +6,22 @@ filtration (x^2) in (x) in A, and the A3 quiver with radical square zero,
 whose simples carry the canonical nonzero degree-2 product.  The random
 generators draw small bound-quiver algebras, modules, filtrations,
 composable extension pairs, and bounded complexes; all of them are driven
-by an explicit Random instance so runs are reproducible from a seed.
+by an explicit Random instance so runs are reproducible from a seed.  The
+rejection samplers decide each draw from the dimension of its closure and
+build a module (action, quotient, inclusion) only for a draw they keep.
 """
 
 from __future__ import annotations
 
 from random import Random
+from typing import Callable
 
 from .algebra import (
     Algebra,
     Filtration,
     Module,
     ModuleHom,
+    _closure,
     bound_quiver_algebra,
     direct_sum,
     free_module,
@@ -117,41 +121,50 @@ def ka3_second_step(field: Field = QQ) -> ExtensionSeq:
 # -- random generators --------------------------------------------------------
 
 
+def _draw_module(rng: Random, algebra: Algebra, max_dim: int = 4,
+                 tries: int = 64) -> tuple[int, Callable[[], Module]]:
+    """random_module's draw as (dimension, builder): a quotient by a closure
+    of rank n has dimension free.dim - n, so only the kept draw is built."""
+    free = free_module(algebra, 1)
+    if free.dim <= max_dim and rng.random() < 0.2:
+        return free.dim, lambda: free
+    for _ in range(tries):
+        k = rng.randint(1, max(1, algebra.dim - 1))
+        basis, _ = _closure(free, random_mat(rng, algebra.field, free.dim, k))
+        quot_dim = free.dim - basis.ncols
+        if basis.ncols and 1 <= quot_dim <= max_dim:
+            return quot_dim, lambda: submodule_quotient(free, submodule(free, basis))[0]
+    if algebra.quiver is not None:
+        simple = quiver_simple(algebra, rng.randrange(algebra.quiver["vertices"]))
+        return simple.dim, lambda: simple
+    raise RuntimeError("could not draw a small random module")
+
+
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
     """A random quotient of the regular module with 1 <= dim <= max_dim."""
-    free = free_module(algebra, 1)
-    if free.dim <= max_dim and rng.random() < 0.2:
-        return free
-    for _ in range(tries):
-        k = rng.randint(1, max(1, algebra.dim - 1))
-        incl = submodule(free, random_mat(rng, algebra.field, free.dim, k))
-        if incl.source.dim in (0, free.dim):
-            continue
-        quot, _, _ = submodule_quotient(free, incl)
-        if 1 <= quot.dim <= max_dim:
-            return quot
-    if algebra.quiver is not None:
-        return quiver_simple(algebra, rng.randrange(algebra.quiver["vertices"]))
-    raise RuntimeError("could not draw a small random module")
+    return _draw_module(rng, algebra, max_dim, tries)[1]()
 
 
 def random_filtration(rng: Random, field: Field, max_dim: int = 6,
                       tries: int = 400) -> Filtration:
-    """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra."""
+    """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra.
+
+    F1 and F2 are decided on their closure bases, which submodule reproduces.
+    """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        ambient = random_module(rng, algebra, max_dim=max_dim)
-        if ambient.dim < 3:
+        dim, build = _draw_module(rng, algebra, max_dim=max_dim)
+        if dim < 3:
             continue
-        f1 = submodule(ambient, random_mat(rng, field, ambient.dim, 1))
-        if not 1 <= f1.source.dim <= ambient.dim - 2:
+        ambient = build()
+        b1, _ = _closure(ambient, random_mat(rng, field, dim, 1))
+        if not 1 <= b1.ncols <= dim - 2:
             continue
-        extra = random_mat(rng, field, ambient.dim, 1)
-        f2 = submodule(ambient, hstack([f1.matrix, extra]))
-        if not f1.source.dim < f2.source.dim < ambient.dim:
+        b2, _ = _closure(ambient, hstack([b1, random_mat(rng, field, dim, 1)]))
+        if not b1.ncols < b2.ncols < dim:
             continue
-        filt = Filtration(ambient, f1, f2)
+        filt = Filtration(ambient, submodule(ambient, b1), submodule(ambient, b2))
         try:
             filt.check_nondegenerate()
         except DegenerateFiltrationError:  # pragma: no cover - guarded above

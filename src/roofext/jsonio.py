@@ -50,6 +50,8 @@ def parse_document(text: str, where: str) -> dict:
         doc = json.loads(text)
     except ValueError as exc:  # a decode error, or an integer too long for int()
         raise SchemaError(f"{where} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{where} is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be a JSON object")
     return doc
@@ -70,7 +72,7 @@ def _need(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or isinstance(val, bool):  # no key takes a bool (an int)
         names = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise SchemaError(f"{where}: key {key!r} must be {names}")
     return val

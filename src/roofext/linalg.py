@@ -367,18 +367,18 @@ def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(ncols):
         if r == mrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
+        if a[r, c] != 1:
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        other = a[:, c].nonzero()[0]
         other = other[other != r]
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            a[other] = (a[other] - a[other, c, None] * a[r]) % p
         piv.append(c)
         r += 1
     return a, piv

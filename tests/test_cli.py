@@ -184,6 +184,22 @@ def test_bad_scalars_and_fields_in_json_exit_2(capsys, tmp_path, field, scalar):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["ext", str(path), str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_boolean_dim_in_json_exits_2(capsys, tmp_path):
+    doc = {"algebra": {"field": "q", "dim": True, "unit": [1], "mult": [[[1]]]},
+           "dim": True, "action": [[[1]]]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ext", str(path), str(path)]) == 2
+    assert "must be int" in capsys.readouterr().err
+
+
 def test_exhausted_filtration_sampler_exits_4(capsys, monkeypatch):
     real = cli.random_filtration
     monkeypatch.setattr(cli, "random_filtration", lambda rng, field: real(rng, field, tries=0))

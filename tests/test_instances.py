@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import roofext.instances as instances
 from roofext.algebra import random_bound_quiver_algebra
 from roofext.complexes import cohomology
 from roofext.errors import DegenerateFiltrationError
@@ -221,3 +222,27 @@ def _seeded_draws(kind, field):
 def test_seeded_draws_are_pinned(kind, name):
     docs = _seeded_draws(kind, field_from_name(name))
     assert hashlib.sha256(dump_canonical(docs).encode()).hexdigest() == DRAW_DIGESTS[kind, name]
+
+
+@pytest.mark.parametrize("name", ["f2", "f3"])
+def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
+    # Rejected draws are decided from closure bases alone: submodule runs for
+    # F1 and F2 of each returned filtration and once per quotient built, and a
+    # quotient is built only for an ambient that passes dim >= 3.
+    subs, quotient_dims = [], []
+
+    def counted_submodule(*args, **kwargs):
+        subs.append(1)
+        return real_submodule(*args, **kwargs)
+
+    def counted_quotient(*args, **kwargs):
+        out = real_quotient(*args, **kwargs)
+        quotient_dims.append(out[0].dim)
+        return out
+
+    real_submodule, real_quotient = instances.submodule, instances.submodule_quotient
+    monkeypatch.setattr(instances, "submodule", counted_submodule)
+    monkeypatch.setattr(instances, "submodule_quotient", counted_quotient)
+    docs = _seeded_draws("filtration", field_from_name(name))
+    assert len(subs) == 2 * len(docs) + len(quotient_dims)
+    assert all(dim >= 3 for dim in quotient_dims)

@@ -48,6 +48,8 @@ def test_parse_document_errors():
         parse_document("[1]", "doc")
     with pytest.raises(SchemaError, match="not found"):
         load_document("/nonexistent/file.json")
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        parse_document("[" * 100_000, "doc")
 
 
 def test_mat_roundtrip_qq():
@@ -196,6 +198,35 @@ def test_missing_key_messages_name_the_path():
     del e_doc["maps"]
     with pytest.raises(SchemaError, match="maps"):
         extension_from_json(e_doc)
+
+
+def _one_dim_documents():
+    """A document of each kind whose int keys named below hold 1."""
+    alg = {"field": "q", "dim": 1, "unit": [1], "mult": [[[1]]]}
+    simple = kx3_simple(QQ)
+    return {
+        "algebra": (alg, algebra_from_json),
+        "module": ({"algebra": alg, "dim": 1, "action": [[[1]]]}, module_from_json),
+        "complex": (complex_to_json(Complex.single(simple, 1)), complex_from_json),
+        "filtration": (filtration_to_json(kx3_filtration(QQ)), filtration_from_json),
+    }
+
+
+@pytest.mark.parametrize("kind, keys", [("algebra", ["dim"]), ("module", ["dim"]),
+                                        ("complex", ["lo"]), ("complex", ["hi"]),
+                                        ("filtration", ["f1", "dim"])],
+                         ids=["algebra-dim", "module-dim", "complex-lo", "complex-hi",
+                              "filtration-dim"])
+def test_booleans_are_not_integers(kind, keys):
+    doc, load = _one_dim_documents()[kind]
+    load(doc)
+    part = doc
+    for key in keys[:-1]:
+        part = part[key]
+    assert part[keys[-1]] == 1
+    part[keys[-1]] = True
+    with pytest.raises(SchemaError, match=f"{keys[-1]!r} must be int"):
+        load(doc)
 
 
 def test_canonical_file_roundtrip(tmp_path):

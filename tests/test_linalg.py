@@ -6,7 +6,9 @@ count is independent of the echelon machinery it checks.
 
 from fractions import Fraction
 from itertools import product
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,45 @@ def test_rref_known_form():
     red, pivots = rref(a)
     assert pivots == (0,)
     assert red.to_lists() == [["1", "2"], ["0", "0"]]
+
+
+def _gauss_jordan(rows, ncols, p):
+    """Textbook Gauss-Jordan over F_p on lists: the reduced form and its pivots."""
+    rows = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_gauss_jordan_over_fp(p):
+    rng = Random(p)
+    shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
+                                          for _ in range(60)]
+    for m, n in shapes:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        if m and rng.random() < 0.5:  # a zero row
+            rows[rng.randrange(m)] = [0] * n
+        if n and rng.random() < 0.5:  # a zero column
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        red, pivots = rref(Mat(GF(p), np.array(rows, dtype=np.int64).reshape(m, n)))
+        want, want_pivots = _gauss_jordan(rows, n, p)
+        assert red.shape == (m, n)
+        assert red.a.tolist() == want and pivots == want_pivots
 
 
 # -- kernels, solving ---------------------------------------------------------
