@@ -1,11 +1,12 @@
 """JSON serialization for algebras, modules, complexes, sequences, filtrations.
 
-All files are UTF-8 JSON.  Scalars are strings "a/b" over the rationals and
-plain integers over prime fields; every document names its field.  An
-algebra appears either inline or as the content hash of an inline one seen
-earlier in the same document (or registry), so multi-module documents do
-not repeat their structure constants.  Malformed input raises SchemaError
-with the first violated invariant named — loaders never assert.
+All files are UTF-8 JSON.  Scalars are integers or strings "[+-]a[/b]" in
+decimal digits over the rationals, and plain integers over prime fields;
+every document names its field.  An algebra appears either inline or as the
+content hash of an inline one seen earlier in the same document (or
+registry), so multi-module documents do not repeat their structure
+constants.  Malformed input raises SchemaError with the first violated
+invariant named — loaders never assert.
 """
 
 from __future__ import annotations

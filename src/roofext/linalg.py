@@ -3,18 +3,24 @@
 Everything downstream (module theory, complexes, Ext groups, roofs) reduces
 to the handful of primitives in this file: reduced row echelon form, kernel
 bases, linear solves, and canonical coordinates on quotient spaces.  All
-arithmetic is exact: rationals are `fractions.Fraction` held in object
-arrays, prime fields are int64 arrays reduced mod p.
+arithmetic is exact: rationals are held in object arrays in one canonical
+form, `int` when integral and `fractions.Fraction` otherwise; prime fields
+are int64 arrays reduced mod p.
 
-Rational elimination is fraction-free (Bareiss): rows are scaled to
-integers and the forward pass divides by the previous pivot, so entries
-stay minors of the input instead of blowing up as naive Fraction
-quotients would.  Prime-field elimination is vectorized with numpy.
+Rational products clear denominators first: each operand becomes one
+common denominator times an integer matrix, the integer matrices are
+multiplied (in int64 when a bound on the sums allows it, as Python ints
+otherwise), and each output entry is divided once by the product of the
+two denominators.  Rational elimination is fraction-free (Bareiss): rows
+are scaled to integers and the forward pass divides by the previous pivot,
+so entries stay minors of the input instead of blowing up as naive
+Fraction quotients would.  Prime-field elimination is vectorized with numpy.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -48,6 +54,11 @@ __all__ = [
 # dimensions into chunks.
 _MAX_PRIME = 1 << 25
 
+# The rational scalars JSON may spell as strings: "[+-]a" or "[+-]a/b" in
+# decimal digits.  Fraction() alone would also take exponents ("1e99999999"),
+# which cost time and memory exponential in their length.
+_QQ_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 class Field:
     """Common interface for the two supported scalar fields."""
@@ -76,11 +87,10 @@ class RationalField(Field):
     char = 0
 
     def reduce(self, arr):
-        out = np.empty(arr.shape, dtype=object)
-        flat = out.reshape(-1)
-        src = np.asarray(arr, dtype=object).reshape(-1)
-        for i, x in enumerate(src):
-            flat[i] = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        src = np.asarray(arr, dtype=object)
+        out = np.empty(src.shape, dtype=object)
+        out.reshape(-1)[:] = [x if type(x) is int else _canonical(x)
+                              for x in src.reshape(-1).tolist()]
         return out
 
     def zeros(self, shape):
@@ -89,14 +99,15 @@ class RationalField(Field):
         return out
 
     def parse(self, s):
-        if isinstance(s, (bool, float)):
-            raise TypeError(f"{s!r} is not an integer or an 'a/b' string")
-        if isinstance(s, int):
-            return Fraction(s)
-        try:
-            return Fraction(str(s))
-        except ZeroDivisionError:
-            raise ValueError(f"{s!r} has a zero denominator") from None
+        if type(s) is int:
+            return s
+        match = _QQ_SCALAR.fullmatch(s) if isinstance(s, str) else None
+        if match is None:
+            raise TypeError(f"{s!r:.40} is not an integer or an 'a/b' string")
+        num, den = int(match[1]), int(match[2] or 1)
+        if den == 0:
+            raise ValueError(f"{s!r:.40} has a zero denominator")
+        return _canonical(Fraction(num, den))
 
     def fmt(self, x):
         f = Fraction(x)
@@ -107,6 +118,12 @@ class RationalField(Field):
 
     def __hash__(self):
         return hash("q")
+
+
+def _canonical(x) -> int | Fraction:
+    """The canonical rational scalar equal to x: int if integral, else Fraction."""
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return int(f.numerator) if f.denominator == 1 else f
 
 
 class PrimeField(Field):
@@ -322,7 +339,35 @@ def _dot(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             return A.dot(B) % p
         return sum(A[:, k : k + step].dot(B[k : k + step]) % p
                    for k in range(0, A.shape[1], step)) % p
-    return field.reduce(A.dot(B))
+    da, na = _clear_denominators(A)
+    db, nb = _clear_denominators(B)
+    ma = max(map(abs, na.reshape(-1).tolist()))
+    mb = max(map(abs, nb.reshape(-1).tolist()))
+    if ma == 0 or mb == 0:
+        return field.zeros((A.shape[0], B.shape[1]))
+    if ma * mb * A.shape[1] <= 2**63 - 1:  # every partial sum fits in int64
+        prod = na.astype(np.int64).dot(nb.astype(np.int64)).astype(object)
+    else:
+        prod = na.dot(nb)
+    d = da * db
+    if d == 1:
+        return prod
+    out = np.empty(prod.shape, dtype=object)
+    out.reshape(-1)[:] = [n // d if n % d == 0 else Fraction(n, d)
+                          for n in prod.reshape(-1).tolist()]
+    return out
+
+
+def _clear_denominators(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, n): d the lcm of the denominators of the rational array a, and
+    n = d * a as an object array of ints."""
+    flat = a.reshape(-1).tolist()
+    d = math.lcm(*(x.denominator for x in flat if type(x) is not int))
+    if d == 1:
+        return 1, a
+    out = np.empty(a.shape, dtype=object)
+    out.reshape(-1)[:] = [x.numerator * (d // x.denominator) for x in flat]
+    return d, out
 
 
 def hstack(mats: list[Mat]) -> Mat:
@@ -386,11 +431,7 @@ def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     mrows, ncols = a.shape
-    rows: list[list[int]] = []
-    for i in range(mrows):
-        fr = [Fraction(x) for x in a[i]]
-        scale = math.lcm(*(x.denominator for x in fr)) if fr else 1
-        rows.append([int(x * scale) for x in fr])
+    rows = [_clear_denominators(row)[1].tolist() for row in a]
 
     piv: list[int] = []
     r = 0

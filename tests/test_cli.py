@@ -184,6 +184,18 @@ def test_bad_scalars_and_fields_in_json_exit_2(capsys, tmp_path, field, scalar):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scalar", ["1e1", "0e10000000", "1.5"])
+def test_q_scalars_outside_the_grammar_exit_2(capsys, tmp_path, scalar):
+    # "0e10000000" would cost Fraction() time exponential in its length
+    doc = json.loads(resources.files("roofext")
+                     .joinpath("fixtures", "kx3_simple.json").read_text())
+    doc["action"][1][0][0] = scalar
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ext", str(path), str(path), "--degree", "0"]) == 2
+    assert "not an integer or an 'a/b' string" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
@@ -242,6 +254,14 @@ def test_fixture_json_output_is_pinned(capsys, name):
     rc, out = run(capsys, argv + ["--json"])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_random_q_lemma_output_is_pinned(capsys):
+    """Ext coordinates of seeded random instances over Q, by digest."""
+    rc, out = run(capsys, ["lemma-check", "--random", "0xBEEF", "3", "--field", "q", "--json"])
+    assert rc == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "d08bcaecfea56208bf9bc2c719bb1cab732a9c60d8f67a5f4098640231d3e4d2")
 
 
 # -- internal errors ----------------------------------------------------------------

@@ -68,10 +68,15 @@ def test_mat_shape_and_scalar_errors():
         mat_from_json(QQ, [["x"]], 1, 1, "m")
 
 
-@pytest.mark.parametrize("field, scalar", [(F3, 1.5), (F3, True), (F3, "1/2"),
-                                           (QQ, 0.5), (QQ, False), (QQ, "1/0")],
-                         ids=["fp-float", "fp-bool", "fp-fraction", "q-float", "q-bool",
-                              "q-zero-denominator"])
+@pytest.mark.parametrize("field, scalar", [
+    (F3, 1.5), (F3, True), (F3, "1/2"), (QQ, 0.5), (QQ, False), (QQ, "1/0"),
+    # Q strings are "[+-]a[/b]" in ASCII decimal digits and nothing else
+    (QQ, "1e1"), (QQ, "0e10000000"), (QQ, "1.5"), (QQ, " 1"), (QQ, "1_000"), (QQ, "0x10"),
+    (QQ, "inf"), (QQ, "1/-2"), (QQ, "\u0661"), (QQ, "3\n"), (QQ, None), (QQ, "1" * 5000),
+], ids=["fp-float", "fp-bool", "fp-fraction", "q-float", "q-bool", "q-zero-denominator",
+        "q-exponent", "q-huge-exponent", "q-decimal", "q-space", "q-underscore", "q-hex",
+        "q-inf", "q-negative-denominator", "q-non-ascii-digit", "q-newline", "q-null",
+        "q-too-many-digits"])
 def test_mat_from_json_refuses_inexact_scalars(field, scalar):
     with pytest.raises(SchemaError, match="bad scalar"):
         mat_from_json(field, [[scalar]], 1, 1, "m")

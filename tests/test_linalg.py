@@ -19,6 +19,7 @@ from roofext.linalg import (
     QQ,
     IncrementalSpan,
     Mat,
+    _dot,
     block_diag,
     field_from_name,
     hstack,
@@ -61,8 +62,10 @@ def test_gf_requires_prime():
 
 
 def test_qq_parse_fmt_roundtrip():
-    for s in ["0", "5", "-7", "2/3", "-9/4"]:
-        assert QQ.fmt(QQ.parse(s)) == str(Fraction(s))
+    for s in ["0", "5", "-7", "2/3", "-9/4", "+3", "6/3", "-4/6", 12, -8]:
+        x = QQ.parse(s)
+        assert QQ.fmt(x) == str(Fraction(s))
+        assert type(x) is int or x.denominator != 1  # the canonical form
 
 
 def test_prime_field_parse_fmt():
@@ -131,6 +134,56 @@ def test_add_distributes(field, r, s, entries):
     c = _hyp_mat(field, s, r, entries[3:])
     assert (a + b) @ c == a @ c + b @ c
     assert -(a - b) == b - a
+
+
+def _canonical_qq(a: np.ndarray) -> bool:
+    """Every entry is an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in a.reshape(-1).tolist())
+
+
+def _fraction_product(a, b, inner):
+    """Textbook triple loop over Fractions."""
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(inner)), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def test_qq_dot_matches_fraction_reference():
+    rng = Random(61)
+    top = 2**63 - 1
+
+    def draw(m, n, size):
+        return [[Fraction(rng.randint(-size, size), rng.choice([1, 1, 2, 3, 4, 7, 9, 2**20]))
+                 for _ in range(n)] for _ in range(m)]
+
+    cases = [  # (rows of A, rows of B, inner dimension)
+        ([[top]], [[1]], 1),                     # the int64 bound itself
+        ([[2**62]], [[2]], 1),                   # one past it
+        ([[2**62, 2**62]], [[1], [1]], 2),       # past it only through the inner sum
+        ([[-(2**31), 2**31 - 1]], [[2**31], [-(2**31)]], 2),
+        ([[Fraction(top, 3)]], [[Fraction(1, 5)]], 1),
+        ([[Fraction(2**62, 3)]], [[Fraction(2, 5)]], 1),
+        ([[0, 0], [0, 0]], [[2**80, 1], [-(2**80), 3]], 2),  # zero beside 2**80
+        ([[2**80, Fraction(1, 3)]], [[0], [0]], 2),
+        ([[Fraction(1, 2), Fraction(1, 3)]], [[6], [3]], 2),  # integral output
+        ([], [[1, 2], [3, 4]], 2),               # 0 x k
+        ([[1, 2], [3, 4]], [[], []], 2),         # k x 0
+        ([[], []], [], 0),                       # inner dimension 0
+    ]
+    for _ in range(80):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        size = rng.choice([3, 2**20, 2**30, 2**31, 2**40, 2**62, 2**90])
+        cases.append((draw(m, k, size), draw(k, n, size), k))
+    for a_rows, b_rows, k in cases:
+        m, n = len(a_rows), len(b_rows[0]) if b_rows else 0
+        a = Mat(QQ, np.array(a_rows, dtype=object).reshape(m, k))
+        b = Mat(QQ, np.array(b_rows, dtype=object).reshape(k, n))
+        got = _dot(QQ, a.a, b.a)
+        want = _fraction_product(a_rows, b_rows, k)
+        assert got.shape == (m, n)
+        assert got.tolist() == want
+        assert _canonical_qq(got)
+        assert (a @ b).a.tolist() == want
 
 
 def test_matmul_large_prime_long_inner_dimension():
@@ -202,6 +255,50 @@ def test_rref_matches_gauss_jordan_over_fp(p):
         want, want_pivots = _gauss_jordan(rows, n, p)
         assert red.shape == (m, n)
         assert red.a.tolist() == want and pivots == want_pivots
+
+
+def _gauss_jordan_qq(rows, ncols):
+    """Textbook Gauss-Jordan over Q on lists of Fractions: reduced form and pivots."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def test_rref_matches_gauss_jordan_over_qq():
+    rng = Random(62)
+    shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 6), rng.randint(1, 6))
+                                          for _ in range(60)]
+    for m, n in shapes:
+        size = rng.choice([2, 9, 2**40, 2**70])
+        rows = [[Fraction(rng.randint(-size, size), rng.choice([1, 1, 2, 3, 5, 12]))
+                 for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:  # a dependent row
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [Fraction(3, 7) * x for x in rows[j]]
+        if m and rng.random() < 0.5:  # a zero row
+            rows[rng.randrange(m)] = [0] * n
+        if n and rng.random() < 0.5:  # a zero column
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        red, pivots = rref(Mat(QQ, np.array(rows, dtype=object).reshape(m, n)))
+        want, want_pivots = _gauss_jordan_qq(rows, n)
+        assert red.shape == (m, n)
+        assert red.a.tolist() == want and pivots == want_pivots
+        assert _canonical_qq(red.a)
 
 
 # -- kernels, solving ---------------------------------------------------------
