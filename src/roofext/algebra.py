@@ -8,6 +8,9 @@ block-diagonal action of a large free module just to multiply by it.
 Every action is one block product: a module is r blocks of size a, and e_i
 acts on each block by the same a x a matrix M_i -- r = 1 and M_i = action[i]
 for an explicit module, a = dim A and M_i = left_mult(i) for a free one.
+The law checks are block products too: one product tests the unit and one
+tests all n^2 relations M_i M_j = sum_k c_ijk M_k (see _law_failure); the
+algebra checks its own left regular representation the same way.
 
 The randomized suites draw algebras from bound quiver algebras: path
 algebras of small quivers truncated by paths of length two or three, for
@@ -23,7 +26,6 @@ is action-stable because e_j (e_i g) = (e_j e_i) g and contains G because
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
@@ -99,29 +101,21 @@ class Algebra:
             self._left[i] = Mat(self.field, self.mult[i].T.copy())
         return self._left[i]
 
-    def left_mult_of(self, vec) -> Mat:
-        """Matrix of left multiplication by the element with coordinates vec."""
-        acc = self.field.zeros((self.dim, self.dim))
-        v = np.asarray(vec, dtype=object).reshape(-1)
-        for i in range(self.dim):
-            if v[i] != 0:
-                acc = acc + v[i] * self.left_mult(i).a
-        return Mat(self.field, acc)
-
     def validate(self) -> None:
+        """The left unit and associativity hold exactly when the left regular
+        representation is a module; one more product checks the right unit."""
         n = self.dim
-        lu = self.left_mult_of(self.unit)
-        if lu != Mat.identity(self.field, n):
+        bad = _law_failure(self, self.mult.transpose(0, 2, 1).reshape(n * n, n), n)
+        if bad == "unit":
             raise SchemaError("unit fails: 1 * e_j != e_j for some j")
-        ru = self.field.zeros((n, n))
-        for j in range(n):
-            ru[:, j] = sum(self.unit[i] * self.mult[j, i, :] for i in range(n))
-        if Mat(self.field, ru) != Mat.identity(self.field, n):
+        # entry j*n + k is the e_k coordinate of e_j * 1
+        right = _dot(self.field, self.unit.reshape(1, n),
+                     self.mult.transpose(1, 0, 2).reshape(n, n * n))
+        if Mat(self.field, right.reshape(n, n)) != Mat.identity(self.field, n):
             raise SchemaError("unit fails: e_j * 1 != e_j for some j")
-        for i, j in itertools.product(range(n), repeat=2):
-            lhs = self.left_mult(i) @ self.left_mult(j)
-            if lhs != self.left_mult_of(self.mult[i, j]):
-                raise SchemaError(f"associativity fails on basis triple (e_{i}, e_{j}, *)")
+        if bad:
+            i, j = bad
+            raise SchemaError(f"associativity fails on basis triple (e_{i}, e_{j}, *)")
 
     def key(self) -> tuple:
         if self._key is None:
@@ -218,20 +212,6 @@ class Module:
         """[e_0 vecs | e_1 vecs | ...]: every basis vector's action, side by side."""
         return self._apply(self._blocks()[2], self.algebra.dim, vecs)
 
-    def act_right(self, i: int, mat: Mat) -> Mat:
-        """mat composed with the action of e_i on this module (mat @ A_i)."""
-        a, r, stacked = self._blocks()
-        rows = mat.a.reshape(mat.nrows * r, a)
-        out = _dot(self.field, rows, stacked[i * a : (i + 1) * a])
-        return Mat(self.field, out.reshape(mat.nrows, self.dim))
-
-    def rho(self, avec, vecs: Mat) -> Mat:
-        """Action of the algebra element with coordinates avec."""
-        a, _, stacked = self._blocks()
-        v = self.field.reduce(np.asarray(avec, dtype=object).reshape(1, -1))
-        m = _dot(self.field, v, stacked.reshape(self.algebra.dim, a * a))
-        return self._apply(m.reshape(a, a), 1, vecs)
-
     @staticmethod
     def from_act_all(algebra: Algebra, hit: Mat, label: str = "") -> "Module":
         """Explicit module whose action matrices sit side by side in hit, as
@@ -241,23 +221,13 @@ class Module:
         return Module(algebra, action=action, label=label)
 
     def validate(self) -> None:
-        n = self.algebra.dim
-        ident = Mat.identity(self.field, self.dim)
-        unit_act = Mat.zeros(self.field, self.dim, self.dim)
-        for i in range(n):
-            if self.algebra.unit[i] != 0:
-                unit_act = unit_act + self.act_mat(i).scale(self.algebra.unit[i])
-        if unit_act != ident:
+        a, _, stacked = self._blocks()
+        bad = _law_failure(self.algebra, stacked, a)
+        if bad == "unit":
             raise SchemaError("module fails unit law: action(1) != identity")
-        for i, j in itertools.product(range(n), repeat=2):
-            lhs = self.act_mat(i) @ self.act_mat(j)
-            rhs = Mat.zeros(self.field, self.dim, self.dim)
-            cij = self.algebra.mult[i, j]
-            for k in range(n):
-                if cij[k] != 0:
-                    rhs = rhs + self.act_mat(k).scale(cij[k])
-            if lhs != rhs:
-                raise SchemaError(f"module action incompatible on basis pair (e_{i}, e_{j})")
+        if bad:
+            i, j = bad
+            raise SchemaError(f"module action incompatible on basis pair (e_{i}, e_{j})")
 
     def key(self) -> tuple:
         # keyed on the action itself, so a free module and an explicit copy
@@ -295,9 +265,13 @@ class ModuleHom:
             self.validate()
 
     def validate(self) -> None:
-        for i in range(self.source.algebra.dim):
-            if self.target.act(i, self.matrix) != self.source.act_right(i, self.matrix):
-                raise SchemaError(f"map fails to intertwine the action of e_{i}")
+        """One comparison: [A_0 F | A_1 F | ...] = F [B_0 | B_1 | ...]."""
+        m = self.source.dim
+        moved = self.matrix @ self.source.act_all(Mat.identity(self.source.field, m))
+        bad = self.target.act_all(self.matrix).a != moved.a
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0]) // m
+            raise SchemaError(f"map fails to intertwine the action of e_{i}")
 
     def __matmul__(self, other: "ModuleHom") -> "ModuleHom":
         if other.target is not self.source and other.target != self.source:
@@ -377,6 +351,28 @@ class Filtration:
             raise DegenerateFiltrationError("F1 = F2: middle subquotient vanishes")
         if self.f2.source.dim == self.ambient.dim:
             raise DegenerateFiltrationError("F2 = G: top subquotient vanishes")
+
+
+def _law_failure(algebra: Algebra, stacked: np.ndarray, a: int):
+    """First failing law when e_i acts on blocks of size a by M_i =
+    stacked[i*a:(i+1)*a]: "unit" if sum_i u_i M_i != I, else the first pair
+    (i, j) in row-major order with M_i M_j != sum_k c_ijk M_k, else None.
+    All pairs take two products: stacked @ [M_0 | ... | M_(n-1)] holds every
+    M_i M_j, and row i*n + j of mult.reshape(n*n, n) @ stacked.reshape(n, a*a)
+    holds the right side of pair (i, j), flattened.
+    """
+    field, n = algebra.field, algebra.dim
+    flat = stacked.reshape(n, a * a)
+    unit = _dot(field, algebra.unit.reshape(1, n), flat).reshape(a, a)
+    if Mat(field, unit) != Mat.identity(field, a):
+        return "unit"
+    side = stacked.reshape(n, a, a).transpose(1, 0, 2).reshape(a, n * a)
+    lhs = _dot(field, stacked, side).reshape(n, a, n, a).transpose(0, 2, 1, 3)
+    rhs = _dot(field, algebra.mult.reshape(n * n, n), flat)
+    bad = (lhs.reshape(n * n, a * a) != rhs).any(axis=1)
+    if bad.any():
+        return divmod(int(np.flatnonzero(bad)[0]), n)
+    return None
 
 
 # -- constructions ---------------------------------------------------------

@@ -269,7 +269,7 @@ def cmd_lemma_check(args) -> int:
 
 def _table_doc(space: str, sheaf: str) -> dict:
     table = cohomology_table(parse_sheaf(space, sheaf))
-    return {
+    doc = {
         "space": space,
         "sheaf": sheaf,
         "normal_form": table.descriptor.describe(),
@@ -277,6 +277,13 @@ def _table_doc(space: str, sheaf: str) -> dict:
                   for q, (dim, rule) in sorted(table.entries.items())},
         "chi": table.chi(),
     }
+    try:  # Python prints ints only up to a digit limit (4300 by default)
+        for n in (doc["chi"], *(v["dim"] for v in doc["table"].values())):
+            str(n)
+    except ValueError:
+        raise SchemaError(f"the cohomology of {sheaf[:40]!r} on {space[:40]} has an "
+                          "entry with more decimal digits than Python prints") from None
+    return doc
 
 
 def _table_text(doc: dict) -> str:
@@ -291,8 +298,6 @@ def _table_text(doc: dict) -> str:
 
 
 def cmd_projcoh(args) -> int:
-    space = args.space_flag or args.space
-    sheaf = args.sheaf_flag or args.sheaf
     pairs: list[tuple[str, str]] = []
     if args.batch:
         doc = _document(args.batch)
@@ -305,8 +310,8 @@ def cmd_projcoh(args) -> int:
                 raise SchemaError(
                     f"{args.batch}: descriptors[{i}] needs 'space' and 'sheaf' strings")
             pairs.append((entry["space"], entry["sheaf"]))
-    elif space and sheaf:
-        pairs.append((space, sheaf))
+    elif args.space and args.sheaf:
+        pairs.append((args.space, args.sheaf))
     else:
         raise SchemaError("projcoh needs a space and a sheaf expression (or --batch)")
     docs = [_table_doc(s, sh) for s, sh in pairs]
@@ -405,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("projcoh", help="sheaf cohomology table")
     p.add_argument("space", nargs="?", help="P1, P2, ... or P1xP1")
     p.add_argument("sheaf", nargs="?", help="sheaf expression, e.g. \"Omega^1(-5)\"")
-    p.add_argument("--space", dest="space_flag", help=argparse.SUPPRESS)
-    p.add_argument("--sheaf", dest="sheaf_flag", help=argparse.SUPPRESS)
     p.add_argument("--batch", metavar="FILE",
                    help="JSON file with a 'descriptors' list")
     _add_output_flags(p)

@@ -39,7 +39,7 @@ __all__ = [
 
 
 def zero_module(algebra: Algebra) -> Module:
-    return Module(algebra, action=[Mat.zeros(algebra.field, 0, 0)] * algebra.dim)
+    return Module(algebra, free_rank=0)
 
 
 class Complex:

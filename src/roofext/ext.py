@@ -38,6 +38,7 @@ from .errors import InvariantError, MiddleMismatchError, SchemaError, Truncation
 from .linalg import (
     IncrementalSpan,
     Mat,
+    _dot,
     hstack,
     kernel_basis,
     quotient_coords,
@@ -105,14 +106,23 @@ def minimal_generators(ambient: Module, basis: Mat) -> Mat:
         return basis
     rad = ambient.algebra.radical
     if rad is not None:
-        cols = [ambient.rho(rad.a[:, j], basis) for j in range(rad.ncols)]
-        radimg = hstack(cols) if cols else Mat.zeros(ambient.field, ambient.dim, 0)
-        coords = solve(basis, radimg)
+        coords = solve(basis, _radical_images(ambient, basis, rad))
         if coords is None:
             raise InvariantError("radical did not preserve the span")
         qc = quotient_coords(coords)
         return basis.take_cols(qc.free)
     return _greedy_generators(ambient, basis)
+
+
+def _radical_images(ambient: Module, basis: Mat, rad: Mat) -> Mat:
+    """[R_0 basis | R_1 basis | ...], R_j the action of the radical element
+    with coordinates rad[:, j]: one product of the images e_s b_t, one row
+    per (entry, t), with the radical coordinates."""
+    field, dim, c = ambient.field, ambient.dim, basis.ncols
+    n, q = rad.shape
+    hit = hom_from_free(ambient, basis).a.reshape(dim * c, n)
+    out = _dot(field, hit, rad.a).reshape(dim, c, q).transpose(0, 2, 1)
+    return Mat(field, out.reshape(dim, q * c))
 
 
 def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
@@ -218,20 +228,19 @@ def free_resolution(M: Module, d: int) -> Resolution:
 
 
 def _hom_delta(res: Resolution, N: Module, k: int) -> Mat:
-    """Differential Hom(P_k, N) -> Hom(P_(k+1), N), i.e. precompose with d."""
-    field = N.field
-    nn = N.dim
-    a = N.algebra.dim
+    """Differential Hom(P_k, N) -> Hom(P_(k+1), N), i.e. precompose with d.
+
+    Block (u, t) is sum_s g[t*a + s, u] N_s for the syzygy generators g of
+    P_(k+1) and N's action matrices N_s: one product of the coefficients,
+    shaped (rk1*rk) x a, with the flattened N_s, shaped a x nn^2.
+    """
+    field, nn, a = N.field, N.dim, N.algebra.dim
     rk, rk1 = res.ranks[k], res.ranks[k + 1]
-    out = field.zeros((rk1 * nn, rk * nn))
-    eye = Mat.identity(field, nn)
-    g = res.gens[k + 1]
-    for u in range(rk1):
-        for t in range(rk):
-            block = g.a[t * a : (t + 1) * a, u]
-            if (np.asarray(block, dtype=object) != 0).any():
-                out[u * nn : (u + 1) * nn, t * nn : (t + 1) * nn] = N.rho(block, eye).a
-    return Mat(field, out)
+    coeffs = res.gens[k + 1].a.T.reshape(rk1 * rk, a)
+    hit = N.act_all(Mat.identity(field, nn)).a  # [N_0 | N_1 | ...]
+    acts = hit.reshape(nn, a, nn).transpose(1, 0, 2).reshape(a, nn * nn)
+    out = _dot(field, coeffs, acts).reshape(rk1, rk, nn, nn).transpose(0, 2, 1, 3)
+    return Mat(field, out.reshape(rk1 * nn, rk * nn))
 
 
 class _ExtSpace:

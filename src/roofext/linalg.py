@@ -11,10 +11,11 @@ Rational products clear denominators first: each operand becomes one
 common denominator times an integer matrix, the integer matrices are
 multiplied (in int64 when a bound on the sums allows it, as Python ints
 otherwise), and each output entry is divided once by the product of the
-two denominators.  Rational elimination is fraction-free (Bareiss): rows
-are scaled to integers and the forward pass divides by the previous pivot,
-so entries stay minors of the input instead of blowing up as naive
-Fraction quotients would.  Prime-field elimination is vectorized with numpy.
+two denominators.  Rational elimination is fraction-free Gauss-Jordan
+(Bareiss): rows are scaled to integers and every update divides exactly by
+the previous pivot, so entries stay minors of the input instead of blowing
+up as naive Fraction quotients would; one division by the last pivot gives
+the reduced form.  Prime-field elimination is vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -430,6 +431,8 @@ def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Fraction-free Gauss-Jordan: rows other than the pivot row become
+    (pv * x - f * y) / prev, exactly; then one division by the last pivot."""
     mrows, ncols = a.shape
     rows = [_clear_denominators(row)[1].tolist() for row in a]
 
@@ -443,37 +446,25 @@ def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, mrows):
-            f = rows[i][c]
-            new = []
-            for j in range(ncols):
-                val = pv * rows[i][j] - f * rows[r][j]
-                q, rem = divmod(val, prev)
-                if rem:
-                    raise InvariantError("fraction-free elimination lost exact divisibility")
-                new.append(q)
-            rows[i] = new
+        top = rows[r]
+        pv, top_sum = top[c], sum(top)
+        for i in (*range(r), *range(r + 1, mrows)):
+            row = rows[i]
+            f = row[c]
+            if f == 0 and pv == prev:  # the update would leave the row as it is
+                continue
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+            # floor remainders all share prev's sign, so they vanish iff their sum does
+            if pv * sum(row) - f * top_sum != prev * sum(rows[i]):
+                raise InvariantError("fraction-free elimination lost exact divisibility")
         prev = pv
         piv.append(c)
         r += 1
 
-    # Back-substitute with Fractions to reach reduced form; final entries are
-    # ratios of minors, so this stage cannot blow up.
-    red: list[list[Fraction]] = [[Fraction(x) for x in row] for row in rows[:r]]
-    for k in reversed(range(r)):
-        c = piv[k]
-        pv = red[k][c]
-        red[k] = [x / pv for x in red[k]]
-        for i in range(k):
-            f = red[i][c]
-            if f:
-                red[i] = [x - f * y for x, y in zip(red[i], red[k])]
-
     out = np.empty((mrows, ncols), dtype=object)
     out[...] = 0
     for i in range(r):
-        out[i, :] = red[i]
+        out[i, :] = [x // prev if x % prev == 0 else Fraction(x, prev) for x in rows[i]]
     return out, piv
 
 

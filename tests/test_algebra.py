@@ -64,6 +64,73 @@ def test_algebra_rejects_broken_unit():
         Algebra(QQ, a.mult, [0, 1, 0])
 
 
+def test_algebra_rejects_broken_right_unit():
+    # x * y = y: the left unit and associativity hold, e_1 * 1 = e_0 != e_1
+    mult = np.zeros((2, 2, 2), dtype=object)
+    mult[:, 0, 0] = mult[:, 1, 1] = 1
+    with pytest.raises(SchemaError, match=r"e_j \* 1 != e_j"):
+        Algebra(QQ, mult, [1, 0])
+
+
+def _reference_law_failure(field, n, unit, mult, mats):
+    """The per-pair loop: "unit" when sum u_i M_i != I, else the first
+    (i, j) in row-major order with M_i M_j != sum_k c_ijk M_k, else None."""
+
+    def combine(coeffs):
+        out = Mat.zeros(field, mats[0].nrows, mats[0].ncols)
+        for c, m in zip(coeffs, mats):
+            out = out + m.scale(c)
+        return out
+
+    if combine(unit) != Mat.identity(field, mats[0].nrows):
+        return "unit"
+    for i in range(n):
+        for j in range(n):
+            if mats[i] @ mats[j] != combine(mult[i, j]):
+                return i, j
+    return None
+
+
+def _perturbed(rng, field, arr):
+    out = np.array(arr, dtype=object)
+    flat = out.reshape(-1)
+    flat[rng.randrange(flat.size)] += rng.choice([1, 2] if field.char != 2 else [1])
+    return out
+
+
+def _reference_algebra_failure(field, mult, unit):
+    """The message the per-triple loop raises first, or None."""
+    n = len(unit)
+    mats = [Mat(field, mult[i].T.copy()) for i in range(n)]
+    bad = _reference_law_failure(field, n, unit, mult, mats)
+    if bad == "unit":
+        return "1 * e_j != e_j"
+    right = [sum(unit[i] * mult[j, i, :] for i in range(n)) for j in range(n)]
+    if Mat(field, np.array(right, dtype=object)) != Mat.identity(field, n):
+        return "e_j * 1 != e_j"
+    return bad and "associativity fails on basis triple (e_%d, e_%d, *)" % bad
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_algebra_law_checks_name_the_first_failure(field):
+    """Perturbed structure constants fail exactly where the per-triple loop
+    fails first, with the unit checks before associativity."""
+    rng = Random(0xA55C)
+    later = 0
+    for _ in range(40):
+        alg = random_bound_quiver_algebra(rng, field)
+        mult = field.reduce(_perturbed(rng, field, alg.mult))
+        expected = _reference_algebra_failure(field, mult, alg.unit)
+        if expected is None:
+            Algebra(field, mult, alg.unit)
+            continue
+        with pytest.raises(SchemaError) as err:
+            Algebra(field, mult, alg.unit)
+        assert expected in str(err.value)
+        later += "triple" in expected and "(e_0, e_0" not in expected
+    assert later
+
+
 def test_algebra_rejects_bad_shapes():
     with pytest.raises(SchemaError, match="n\\*n\\*n"):
         Algebra(QQ, np.zeros((2, 2), dtype=object), [1, 0])
@@ -112,6 +179,68 @@ def test_module_rejects_incompatible_action():
         Module(alg, action=[one, one, one]).validate()
     with pytest.raises(SchemaError, match="unit law"):
         Module(alg, action=[Mat(QQ, [[0]]), one, one]).validate()
+
+
+def test_module_action_failure_names_a_later_pair():
+    alg = truncated_polynomial_algebra(QQ, 3)
+    one, zero = Mat(QQ, [[1]]), Mat(QQ, [[0]])
+    # x acts by 0 and x^2 by 1: every pair before (x, x) holds, x * x = x^2 fails
+    with pytest.raises(SchemaError, match=r"basis pair \(e_1, e_1\)"):
+        Module(alg, action=[one, zero, one]).validate()
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_module_law_checks_name_the_first_failure(field):
+    """A perturbed action matrix fails exactly where the per-pair loop over
+    act_mat fails first; unperturbed free and explicit modules pass."""
+    rng = Random(0x1A75)
+    seen = set()
+    for _ in range(12):
+        alg = random_bound_quiver_algebra(rng, field)
+        for module in (*(free_module(alg, r) for r in range(3)), random_module(rng, alg)):
+            module.validate()
+            mats = [module.act_mat(i) for i in range(alg.dim)]
+            if module.dim == 0:
+                continue
+            k = rng.randrange(alg.dim)
+            mats[k] = Mat(field, _perturbed(rng, field, mats[k].a))
+            expected = _reference_law_failure(field, alg.dim, alg.unit, alg.mult, mats)
+            if expected is None:
+                Module(alg, action=mats).validate()
+                continue
+            with pytest.raises(SchemaError) as err:
+                Module(alg, action=mats).validate()
+            if expected == "unit":
+                assert "unit law" in str(err.value)
+            else:
+                assert f"basis pair (e_{expected[0]}, e_{expected[1]})" in str(err.value)
+                seen.add(expected > (0, 0))
+    assert True in seen
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_hom_check_names_the_first_failing_element(field):
+    """A perturbed hom fails on the first e_i with A_i F != F B_i."""
+    rng = Random(0x4031)
+    later = 0
+    for _ in range(12):
+        alg = random_bound_quiver_algebra(rng, field)
+        for source in (free_module(alg, 1), random_module(rng, alg)):
+            target = random_module(rng, alg)
+            homs = hom_space(source, target)
+            for hom in homs:
+                ModuleHom(source, target, hom.matrix)
+            base = homs[-1].matrix if homs else Mat.zeros(field, target.dim, source.dim)
+            f = Mat(field, _perturbed(rng, field, base.a))
+            bad = [i for i in range(alg.dim)
+                   if target.act_mat(i) @ f != f @ source.act_mat(i)]
+            if not bad:
+                ModuleHom(source, target, f)
+                continue
+            with pytest.raises(SchemaError, match=f"action of e_{bad[0]}$"):
+                ModuleHom(source, target, f)
+            later += bad[0] > 0
+    assert later
 
 
 def test_free_module_dims():
@@ -201,20 +330,13 @@ def _reference_submodule(module, gens):
     return basis, [solve(basis, m @ basis) for m in mats]
 
 
-def _check_actions_against_act_mat(rng, module, gens):
+def _check_actions_against_act_mat(module, gens):
     """Every action method against the materialized matrices act_mat(i)."""
     field, n = module.field, module.algebra.dim
     mats = [module.act_mat(i) for i in range(n)]
     assert module.act_all(gens) == hstack([m @ gens for m in mats])
-    coeffs = random_mat(rng, field, n, 1).a[:, 0]
-    element = Mat.zeros(field, module.dim, module.dim)
-    for c, m in zip(coeffs, mats):
-        element = element + m.scale(c)
-    assert module.rho(coeffs, gens) == element @ gens
-    left = random_mat(rng, field, 2, module.dim)
     for i, m in enumerate(mats):
         assert module.act(i, gens) == m @ gens
-        assert module.act_right(i, left) == left @ m
     # free coordinate t*dim(A) + s is e_s on generator t
     cols = [m @ gens.col(t) for t in range(gens.ncols) for m in mats]
     expected = hstack(cols) if cols else Mat.zeros(field, module.dim, 0)
@@ -229,7 +351,7 @@ def test_submodule_matches_fixed_point_closure(field):
         zero = Module(alg, action=[Mat.zeros(field, 0, 0)] * alg.dim)
         for module in (*(free_module(alg, r) for r in range(3)), random_module(rng, alg), zero):
             gens = random_mat(rng, field, module.dim, rng.randint(0, 2))
-            _check_actions_against_act_mat(rng, module, gens)
+            _check_actions_against_act_mat(module, gens)
             incl = submodule(module, gens)
             basis, action = _reference_submodule(module, gens)
             assert incl.matrix == basis

@@ -332,6 +332,27 @@ def test_projcoh_schema_errors(capsys, argv):
     assert rc == 2
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("args", [["P3", "O(" + "9" * 2000 + ")"], ["P20000", "O(20000)"]],
+                         ids=["huge-twist", "huge-space"])
+def test_projcoh_unprintable_answer_exits_2(capsys, tmp_path, args, fmt):
+    """An entry with more digits than Python prints is refused before any output."""
+    out = tmp_path / "table.out"
+    assert main(["projcoh", *args, *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more decimal digits than Python prints" in captured.err
+    assert main(["projcoh", *args, *fmt, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_projcoh_has_no_space_or_sheaf_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["projcoh", "--space", "P2", "--sheaf", "O(1)"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [{"space": 5, "sheaf": "O(1)"},
                                    {"space": "P2", "sheaf": ["O(1)"]}],
                          ids=["int-space", "list-sheaf"])

@@ -12,11 +12,13 @@ from random import Random
 
 import pytest
 
-from roofext.algebra import direct_sum, hom_space
+from roofext.algebra import direct_sum, free_module, hom_space, random_bound_quiver_algebra
 from roofext.errors import MiddleMismatchError, TruncationError
 from roofext.ext import (
     SPLICE_PRODUCT_SIGN,
     ExtensionSeq,
+    _hom_delta,
+    _radical_images,
     class_of_extension,
     ext0_from_hom,
     ext_group,
@@ -32,10 +34,11 @@ from roofext.instances import (
     ka3_simples,
     kx3_regular,
     kx3_simple,
+    random_module,
     random_ses_pair,
     random_ses_triple,
 )
-from roofext.linalg import GF, QQ
+from roofext.linalg import GF, QQ, Mat, hstack, random_mat, vstack
 
 F2 = GF(2)
 F3 = GF(3)
@@ -51,6 +54,45 @@ def test_resolution_is_a_complex():
     assert (res.augmentation @ res.map(1)).is_zero()
     for t in range(1, 4):
         assert (res.map(t) @ res.map(t + 1)).is_zero()
+
+
+def _combine(field, coeffs, mats, n):
+    out = Mat.zeros(field, n, n)
+    for c, m in zip(coeffs, mats):
+        out = out + m.scale(c)
+    return out
+
+
+def _reference_hom_delta(res, N, k):
+    """Block by block: block (u, t) is sum_s g[t*a + s, u] act_mat(s)."""
+    field, nn, a = N.field, N.dim, N.algebra.dim
+    mats = [N.act_mat(s) for s in range(a)]
+    g = res.gens[k + 1].a
+    rows = [hstack([Mat.zeros(field, nn, 0)]
+                   + [_combine(field, g[t * a : (t + 1) * a, u], mats, nn)
+                      for t in range(res.ranks[k])])
+            for u in range(res.ranks[k + 1])]
+    return vstack([Mat.zeros(field, 0, res.ranks[k] * nn)] + rows)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_block_products_match_per_block_references(field):
+    """_hom_delta and the radical images against loops over act_mat, on
+    free modules of rank 0-2 and on explicit modules."""
+    rng = Random(0xDE17A)
+    for _ in range(5):
+        alg = random_bound_quiver_algebra(rng, field)
+        res = free_resolution(random_module(rng, alg), 2)
+        rad = alg.radical
+        for N in (*(free_module(alg, r) for r in range(3)), random_module(rng, alg)):
+            for k in range(2):
+                assert _hom_delta(res, N, k) == _reference_hom_delta(res, N, k)
+            basis = random_mat(rng, field, N.dim, rng.randint(1, 3))
+            mats = [N.act_mat(s) for s in range(alg.dim)]
+            expected = [_combine(field, rad.a[:, j], mats, N.dim) @ basis
+                        for j in range(rad.ncols)]
+            assert _radical_images(N, basis, rad) == hstack(
+                [Mat.zeros(field, N.dim, 0)] + expected)
 
 
 def test_resolution_of_kx3_simple_is_periodic():
