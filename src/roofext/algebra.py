@@ -201,7 +201,7 @@ class Module:
         c = vecs.ncols
         blocks = vecs.a.reshape(r, a, c).transpose(1, 0, 2).reshape(a, r * c)
         out = _dot(self.field, stacked, blocks).reshape(k, a, r, c)
-        return Mat(self.field, out.transpose(2, 1, 0, 3).reshape(self.dim, k * c))
+        return Mat._of(self.field, out.transpose(2, 1, 0, 3).reshape(self.dim, k * c))
 
     def act(self, i: int, vecs: Mat) -> Mat:
         """Action of e_i on column vectors."""

@@ -20,6 +20,7 @@ resolve to the bundled example files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from random import Random
@@ -422,9 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

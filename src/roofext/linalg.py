@@ -15,7 +15,14 @@ two denominators.  Rational elimination is fraction-free Gauss-Jordan
 (Bareiss): rows are scaled to integers and every update divides exactly by
 the previous pivot, so entries stay minors of the input instead of blowing
 up as naive Fraction quotients would; one division by the last pivot gives
-the reduced form.  Prime-field elimination is vectorized with numpy.
+the reduced form.
+
+Elimination over F2 and F3 runs on column-packed ints (F2: one int per
+column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
+without row swaps; larger primes use numpy.  Every Mat holds a read-only
+array in canonical form: `Mat(field, data)` reduces it, and results that
+are canonical by construction skip that through `Mat._of`.  Kernel bases
+and quotient projections hold negated entries, so they go through `Mat`.
 """
 
 from __future__ import annotations
@@ -226,6 +233,16 @@ class Mat:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", a)
 
+    @classmethod
+    def _of(cls, field: Field, a: np.ndarray) -> "Mat":
+        """Wrap a 2-d array that is already in the field's canonical form and
+        that nothing else holds; it is made read-only, not copied or reduced."""
+        a.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "a", a)
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
 
@@ -233,14 +250,14 @@ class Mat:
 
     @staticmethod
     def zeros(field: Field, m: int, n: int) -> "Mat":
-        return Mat(field, field.zeros((m, n)))
+        return Mat._of(field, field.zeros((m, n)))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         z = field.zeros((n, n))
         for i in range(n):
             z[i, i] = 1
-        return Mat(field, z)
+        return Mat._of(field, z)
 
     @staticmethod
     def column(field: Field, entries) -> "Mat":
@@ -262,7 +279,7 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, self.a.T.copy())
+        return Mat._of(self.field, self.a.T.copy())
 
     def is_zero(self) -> bool:
         if self.a.size == 0:
@@ -279,7 +296,7 @@ class Mat:
         self._coerce(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return Mat(self.field, _dot(self.field, self.a, other.a))
+        return Mat._of(self.field, _dot(self.field, self.a, other.a))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._coerce(other)
@@ -313,13 +330,13 @@ class Mat:
         return self.a[i, j]
 
     def col(self, j: int) -> "Mat":
-        return Mat(self.field, self.a[:, j : j + 1].copy())
+        return Mat._of(self.field, self.a[:, j : j + 1].copy())
 
     def take_cols(self, idx) -> "Mat":
-        return Mat(self.field, self.a[:, list(idx)].copy())
+        return Mat._of(self.field, self.a[:, list(idx)])
 
     def take_rows(self, idx) -> "Mat":
-        return Mat(self.field, self.a[list(idx), :].copy())
+        return Mat._of(self.field, self.a[list(idx), :])
 
     def to_lists(self) -> list[list]:
         return [[self.field.fmt(x) for x in row] for row in self.a]
@@ -373,12 +390,12 @@ def _clear_denominators(a: np.ndarray) -> tuple[int, np.ndarray]:
 
 def hstack(mats: list[Mat]) -> Mat:
     field = mats[0].field
-    return Mat(field, np.hstack([m.a for m in mats]))
+    return Mat._of(field, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: list[Mat]) -> Mat:
     field = mats[0].field
-    return Mat(field, np.vstack([m.a for m in mats]))
+    return Mat._of(field, np.vstack([m.a for m in mats]))
 
 
 def block_diag(mats: list[Mat]) -> Mat:
@@ -391,7 +408,7 @@ def block_diag(mats: list[Mat]) -> Mat:
         out[i : i + x.nrows, j : j + x.ncols] = x.a
         i += x.nrows
         j += x.ncols
-    return Mat(field, out)
+    return Mat._of(field, out)
 
 
 # -- elimination ----------------------------------------------------------
@@ -399,11 +416,110 @@ def block_diag(mats: list[Mat]) -> Mat:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    if isinstance(m.field, PrimeField):
-        r, piv = _rref_fp(m.a.copy(), m.field.p)
+    if 0 in m.shape:
+        return m, ()
+    p = m.field.char
+    if p == 2:
+        r, piv = _rref_f2(m.a)
+    elif p == 3:
+        r, piv = _rref_f3(m.a)
+    elif p:
+        r, piv = _rref_fp(m.a.copy(), p)
     else:
         r, piv = _rref_qq(m.a)
-    return Mat(m.field, r), tuple(piv)
+    return Mat._of(m.field, r), tuple(piv)
+
+
+# Row weights for packing up to 62 rows with one int64 product.
+_WEIGHTS = 1 << np.arange(62, dtype=np.int64)
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Column j of the 0/1 m x k array as one int, bit i set for row i."""
+    m = bits.shape[0]
+    if m <= 62:
+        return _WEIGHTS[:m].dot(bits).tolist()
+    nb = (m + 7) // 8
+    raw = np.packbits(bits, axis=0, bitorder="little").T.tobytes()
+    return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _unpack(cols: list[int], order: list[int], m: int) -> np.ndarray:
+    """m x len(cols) 0/1 array whose row t is bit order[t] of every column;
+    rows past len(order) are zero.  Large ones are uint8, to save memory."""
+    if m <= 62:  # bit 62 is zero in every column
+        idx = np.array(order + [62] * (m - len(order)))
+        return (np.array(cols, dtype=np.int64) >> idx[:, None]) & 1
+    nb = (m + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nb, "little") for x in cols), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(cols), nb), axis=1, bitorder="little")
+    out = np.zeros((m, len(cols)), dtype=np.uint8)
+    out[: len(order)] = bits[:, order].T
+    return out
+
+
+def _rref_f2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan over F2 on packed columns: rows are never swapped, and
+    the pivot rows are read out in pivot order at the end (the rest are zero)."""
+    mrows, ncols = a.shape
+    cols = _pack(a)
+    used, piv, order = 0, [], []
+    for c in range(ncols):
+        col = cols[c]
+        cand = col & ~used
+        if not cand:
+            continue
+        rbit = cand & -cand
+        others = col ^ rbit
+        if others:  # earlier columns are zero in the pivot row
+            for j in range(c + 1, ncols):
+                if cols[j] & rbit:
+                    cols[j] ^= others
+        cols[c] = rbit
+        used |= rbit
+        piv.append(c)
+        order.append(rbit.bit_length() - 1)
+        if len(piv) == mrows:
+            break
+    return _unpack(cols, order, mrows).astype(np.int64, copy=False), piv
+
+
+def _rref_f3(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan over F3 on packed columns, as _rref_f2: each column is
+    two ints, P (rows holding 1) and N (rows holding 2)."""
+    mrows, ncols = a.shape
+    packed = _pack(np.hstack((a == 1, a == 2)))
+    P, N = packed[:ncols], packed[ncols:]
+    used, piv, order = 0, [], []
+    for c in range(ncols):
+        p, q = P[c], N[c]
+        cand = (p | q) & ~used
+        if not cand:
+            continue
+        rbit = cand & -cand
+        two = q & rbit  # the pivot row is scaled by 2: its bit swaps between P and N
+        mp, mn = (p, q ^ rbit) if two else (p ^ rbit, q)  # other rows holding 1, 2
+        if two or mp | mn:
+            for j in range(c + 1, ncols):
+                x, y = P[j], N[j]
+                if not (x | y) & rbit:
+                    continue
+                if two:
+                    x ^= rbit
+                    y ^= rbit
+                # subtract (top entry) x the pivot row: add (AP, AN) mod 3
+                ap, an = (mn, mp) if x & rbit else (mp, mn)
+                s, z = ap | an, ~(x | y)
+                P[j] = (x & ~s) | (ap & z) | (y & an)
+                N[j] = (y & ~s) | (an & z) | (x & ap)
+        P[c], N[c] = rbit, 0
+        used |= rbit
+        piv.append(c)
+        order.append(rbit.bit_length() - 1)
+        if len(piv) == mrows:
+            break
+    bits = _unpack(P + N, order, mrows)
+    return (bits[:, :ncols] | bits[:, ncols:] << 1).astype(np.int64, copy=False), piv
 
 
 def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -478,10 +594,8 @@ def kernel_basis(m: Mat) -> Mat:
     n = m.ncols
     free = [j for j in range(n) if j not in set(piv)]
     out = m.field.zeros((n, len(free)))
-    for k, f in enumerate(free):
-        out[f, k] = 1
-        for i, c in enumerate(piv):
-            out[c, k] = -r.a[i, f]
+    out[free, range(len(free))] = 1
+    out[list(piv), :] = -r.a[: len(piv), free]  # negated: Mat reduces it
     return Mat(m.field, out)
 
 
@@ -501,7 +615,7 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     out = m.field.zeros((n, b.ncols))
     for i, c in enumerate(piv):
         out[c, :] = r.a[i, n:]
-    return Mat(m.field, out)
+    return Mat._of(m.field, out)
 
 
 def left_inverse(m: Mat) -> Mat:
@@ -544,17 +658,13 @@ def quotient_coords(sub: Mat) -> QuotientCoords:
     red, piv = rref(sub.T)
     r = len(piv)
     free = tuple(j for j in range(n) if j not in set(piv))
-    proj = field.zeros((len(free), n))
-    for k, f in enumerate(free):
-        proj[k, f] = 1
-        for i, c in enumerate(piv):
-            proj[k, c] = -red.a[i, f]
     section = field.zeros((n, len(free)))
-    for k, f in enumerate(free):
-        section[f, k] = 1
+    section[list(free), range(len(free))] = 1
+    proj = section.T.copy()
+    proj[:, list(piv)] = -red.a[:r, list(free)].T  # negated: Mat reduces it
     return QuotientCoords(
         proj=Mat(field, proj),
-        section=Mat(field, section),
+        section=Mat._of(field, section),
         reduced=red.take_rows(range(r)),
         pivots=piv,
         free=free,

@@ -191,9 +191,13 @@ def space_dim(space: str) -> int:
     if space == "P1xP1":
         return 2
     m = re.fullmatch(r"P(\d+)", space)
-    if not m or int(m.group(1)) < 1:
+    try:
+        n = int(m.group(1)) if m else 0
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"dimension of space {space[:16]!r}... is too large") from None
+    if n < 1:
         raise SchemaError(f"unknown space {space!r} (expected Pn or P1xP1)")
-    return int(m.group(1))
+    return n
 
 
 class _Parser:

@@ -281,6 +281,20 @@ def test_internal_errors_exit_5(capsys, monkeypatch, error):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_repeated_calls_share_no_parsed_state(capsys):
+    """The parser is built once per process; each call must still print what
+    a call in a fresh process prints."""
+    ext = ["ext", "fixture:kx3_simple", "fixture:kx3_simple", "--json"]
+    calls = [ext + ["--degree", "1"], ext, ["lemma-check", "--filtration",
+             "fixture:kx3_filtration"], ext + ["--degree", "1"], ext]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert fresh[0] != fresh[1]  # the degree option changes the output
+    assert [run(capsys, argv) for argv in calls] == fresh
+
+
 # -- projcoh ----------------------------------------------------------------------
 
 
@@ -344,6 +358,14 @@ def test_projcoh_unprintable_answer_exits_2(capsys, tmp_path, args, fmt):
     assert "more decimal digits than Python prints" in captured.err
     assert main(["projcoh", *args, *fmt, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_projcoh_space_with_more_digits_than_int_converts_exits_2(capsys):
+    rc = main(["projcoh", "P" + "1" * 5000, "O(1)"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "schema error" in captured.err
 
 
 def test_projcoh_has_no_space_or_sheaf_flags(capsys):

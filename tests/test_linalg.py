@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roofext.algebra import free_module, random_bound_quiver_algebra
 from roofext.errors import SchemaError
+from roofext.instances import random_module
 from roofext.linalg import (
     GF,
     QQ,
@@ -26,6 +28,7 @@ from roofext.linalg import (
     kernel_basis,
     left_inverse,
     quotient_coords,
+    random_mat,
     rank,
     rref,
     solve,
@@ -240,9 +243,11 @@ def _gauss_jordan(rows, ncols, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rref_matches_gauss_jordan_over_fp(p):
+    """GF(2) and GF(3) run the packed kernels, GF(5) the numpy one."""
     rng = Random(p)
     shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
                                           for _ in range(60)]
+    cases = []
     for m, n in shapes:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
         if m and rng.random() < 0.5:  # a zero row
@@ -251,10 +256,30 @@ def test_rref_matches_gauss_jordan_over_fp(p):
             j = rng.randrange(n)
             for row in rows:
                 row[j] = 0
-        red, pivots = rref(Mat(GF(p), np.array(rows, dtype=np.int64).reshape(m, n)))
+        cases.append((m, n, rows))
+    # tall shapes on both sides of the 62-row packing boundary: dense, and
+    # zero except for the last rows, so that pivots sit in the highest bits
+    for m in (62, 63, 70, 130):
+        for n in (1, 5, 12):
+            cases.append((m, n, [[rng.randrange(p) for _ in range(n)] for _ in range(m)]))
+            cases.append((m, n, [[rng.randrange(p) if i >= m - 3 else 0 for _ in range(n)]
+                                 for i in range(m)]))
+    cases.append((3, 140, [[rng.randrange(p) for _ in range(140)] for _ in range(3)]))
+    cases.append((4, 6, [[0] * 6 for _ in range(4)]))
+    cases.append((5, 5, [[int(i == j) for j in range(5)] for i in range(5)]))
+    # every pivot is 2 before it is scaled (over GF(2) these rows reduce to zero)
+    cases.append((4, 6, [[2 if j == i else rng.randrange(p) if j > i else 0
+                          for j in range(6)] for i in range(4)]))
+    cases.append((9, 7, [[2 * rng.randrange(2) for _ in range(7)] for _ in range(9)]))
+    for m, n, rows in cases:
+        rows = [[x % p for x in row] for row in rows]
+        mat = Mat(GF(p), np.array(rows, dtype=np.int64).reshape(m, n))
+        before = mat.a.copy()
+        red, pivots = rref(mat)
         want, want_pivots = _gauss_jordan(rows, n, p)
-        assert red.shape == (m, n)
+        assert red.shape == (m, n) and red.a.dtype == np.int64
         assert red.a.tolist() == want and pivots == want_pivots
+        assert np.array_equal(mat.a, before)
 
 
 def _gauss_jordan_qq(rows, ncols):
@@ -395,6 +420,48 @@ def test_quotient_of_full_space_is_zero():
     q = quotient_coords(Mat.identity(QQ, 3))
     assert q.dim == 0
     assert q.proj.shape == (0, 3)
+
+
+# -- canonical form -----------------------------------------------------------
+
+
+def _assert_canonical(r: Mat):
+    """r holds exactly what Mat(field, r.a) holds (dtype, scalars and their
+    types), read-only: a result that skipped reduction needed none."""
+    c = Mat(r.field, r.a)
+    assert r.a.dtype == c.a.dtype and r.shape == c.shape
+    got, want = r.a.reshape(-1).tolist(), c.a.reshape(-1).tolist()
+    assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+    assert not r.a.flags.writeable
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_results_are_canonical_and_read_only(field):
+    rng = Random(29)
+    for _ in range(15):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = random_mat(rng, field, m, k)
+        b = random_mat(rng, field, k, n)
+        if field == QQ:  # mixed integral and fractional entries
+            a = a.scale(Fraction(1, 2))
+            b = b.scale(Fraction(2, 3))
+        kb = kernel_basis(a)
+        d_in = kb @ random_mat(rng, field, kb.ncols, rng.randint(0, 3))
+        qc = quotient_coords(a)
+        Z, sq, include, project = subquotient(a, d_in)
+        results = [a @ b, a.T, a.col(k - 1), a.take_rows([m - 1, 0]),
+                   a.take_cols(range(k)), hstack([a, a @ b]), vstack([a, b.T]),
+                   block_diag([a, b]), rref(a)[0], rref(b.T)[0], kb,
+                   solve(a, a @ b), left_inverse(vstack([Mat.identity(field, k), a])),
+                   qc.proj, qc.section, qc.reduced, Z, sq.proj, sq.section,
+                   include, project, Mat.zeros(field, m, n), Mat.identity(field, k)]
+        for r in results:
+            _assert_canonical(r)
+    algebra = random_bound_quiver_algebra(rng, field)
+    for module in (free_module(algebra, 2), random_module(rng, algebra)):
+        vecs = random_mat(rng, field, module.dim, 3)
+        _assert_canonical(module.act_all(vecs))
+        _assert_canonical(module.act(algebra.dim - 1, vecs))
 
 
 # -- incremental spans --------------------------------------------------------
