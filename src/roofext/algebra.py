@@ -128,7 +128,7 @@ class Algebra:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Algebra) and self.key() == other.key()
+        return other is self or isinstance(other, Algebra) and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -238,7 +238,7 @@ class Module:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Module) and self.key() == other.key()
+        return other is self or isinstance(other, Module) and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())

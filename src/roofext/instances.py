@@ -7,8 +7,9 @@ whose simples carry the canonical nonzero degree-2 product.  The random
 generators draw small bound-quiver algebras, modules, filtrations,
 composable extension pairs, and bounded complexes; all of them are driven
 by an explicit Random instance so runs are reproducible from a seed.  The
-rejection samplers decide each draw from the dimension of its closure and
-build a module (action, quotient, inclusion) only for a draw they keep.
+rejection samplers decide each draw by Nakayama's top test or by a rank,
+and build a module (closure, action, quotient, inclusion) only for a draw
+they keep.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .algebra import (
     Filtration,
     Module,
     ModuleHom,
-    _closure,
     bound_quiver_algebra,
     direct_sum,
     free_module,
@@ -35,7 +35,7 @@ from .algebra import (
 from .complexes import Complex
 from .errors import DegenerateFiltrationError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, hstack, random_mat
+from .linalg import QQ, Field, Mat, hstack, random_mat, rank
 
 __all__ = [
     "kx3_regular",
@@ -121,19 +121,28 @@ def ka3_second_step(field: Field = QQ) -> ExtensionSeq:
 # -- random generators --------------------------------------------------------
 
 
+def _generates_regular(algebra: Algebra, gens: Mat) -> bool:
+    """Nakayama's top test: as A/rad A = k^vertices, the columns generate a
+    bound quiver algebra A exactly when each vertex v has a column with a
+    nonzero coordinate on the trivial path e_v (the first basis vectors)."""
+    return bool((gens.a[: algebra.quiver["vertices"]] != 0).any(axis=1).all())
+
+
 def _draw_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                  tries: int = 64) -> tuple[int, Callable[[], Module]]:
-    """random_module's draw as (dimension, builder): a quotient by a closure
-    of rank n has dimension free.dim - n, so only the kept draw is built."""
+    """random_module's draw as (dimension, builder): generators whose action
+    images have rank n leave a quotient of dimension free.dim - n."""
     free = free_module(algebra, 1)
     if free.dim <= max_dim and rng.random() < 0.2:
         return free.dim, lambda: free
     for _ in range(tries):
         k = rng.randint(1, max(1, algebra.dim - 1))
-        basis, _ = _closure(free, random_mat(rng, algebra.field, free.dim, k))
-        quot_dim = free.dim - basis.ncols
-        if basis.ncols and 1 <= quot_dim <= max_dim:
-            return quot_dim, lambda: submodule_quotient(free, submodule(free, basis))[0]
+        gens = random_mat(rng, algebra.field, free.dim, k)
+        if algebra.quiver is not None and _generates_regular(algebra, gens):
+            continue
+        n = rank(free.act_all(gens))
+        if n and 1 <= free.dim - n <= max_dim:
+            return free.dim - n, lambda: submodule_quotient(free, submodule(free, gens))[0]
     if algebra.quiver is not None:
         simple = quiver_simple(algebra, rng.randrange(algebra.quiver["vertices"]))
         return simple.dim, lambda: simple
@@ -150,7 +159,7 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
                       tries: int = 400) -> Filtration:
     """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra.
 
-    F1 and F2 are decided on their closure bases, which submodule reproduces.
+    F1 = A g1 and F2 = A [g1 | g2] are decided on their ranks, then built.
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
@@ -158,13 +167,14 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
         if dim < 3:
             continue
         ambient = build()
-        b1, _ = _closure(ambient, random_mat(rng, field, dim, 1))
-        if not 1 <= b1.ncols <= dim - 2:
+        g1 = random_mat(rng, field, dim, 1)
+        r1 = rank(ambient.act_all(g1))
+        if not 1 <= r1 <= dim - 2:
             continue
-        b2, _ = _closure(ambient, hstack([b1, random_mat(rng, field, dim, 1)]))
-        if not b1.ncols < b2.ncols < dim:
+        g12 = hstack([g1, random_mat(rng, field, dim, 1)])
+        if not r1 < rank(ambient.act_all(g12)) < dim:
             continue
-        filt = Filtration(ambient, submodule(ambient, b1), submodule(ambient, b2))
+        filt = Filtration(ambient, submodule(ambient, g1), submodule(ambient, g12))
         try:
             filt.check_nondegenerate()
         except DegenerateFiltrationError:  # pragma: no cover - guarded above

@@ -19,10 +19,11 @@ the reduced form.
 
 Elimination over F2 and F3 runs on column-packed ints (F2: one int per
 column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
-without row swaps; larger primes use numpy.  Every Mat holds a read-only
-array in canonical form: `Mat(field, data)` reduces it, and results that
-are canonical by construction skip that through `Mat._of`.  Kernel bases
-and quotient projections hold negated entries, so they go through `Mat`.
+without row swaps, and `rank` there only counts pivots, with no unpacking;
+larger primes use numpy.  Every Mat holds a read-only array in canonical
+form: `Mat(field, data)` reduces it, and results that are canonical by
+construction skip that through `Mat._of`.  Kernel bases and quotient
+projections hold negated entries, so they go through `Mat`.
 """
 
 from __future__ import annotations
@@ -342,6 +343,8 @@ class Mat:
         return [[self.field.fmt(x) for x in row] for row in self.a]
 
     def key(self) -> tuple:
+        if isinstance(self.field, PrimeField):
+            return (self.field.name, self.shape, self.a.astype(np.int64, copy=False).tobytes())
         return (self.field.name, self.shape, tuple(map(str, self.a.reshape(-1))))
 
     def __repr__(self):
@@ -419,10 +422,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     if 0 in m.shape:
         return m, ()
     p = m.field.char
-    if p == 2:
-        r, piv = _rref_f2(m.a)
-    elif p == 3:
-        r, piv = _rref_f3(m.a)
+    if p in _PACKED:
+        cols, order, piv = _PACKED[p](m.a)
+        bits = _unpack(cols, order, m.nrows)
+        if p == 3:  # the P ints, then the N ints
+            bits = bits[:, : m.ncols] | bits[:, m.ncols :] << 1
+        r = bits.astype(np.int64, copy=False)
     elif p:
         r, piv = _rref_fp(m.a.copy(), p)
     else:
@@ -458,9 +463,9 @@ def _unpack(cols: list[int], order: list[int], m: int) -> np.ndarray:
     return out
 
 
-def _rref_f2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _eliminate_f2(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     """Gauss-Jordan over F2 on packed columns: rows are never swapped, and
-    the pivot rows are read out in pivot order at the end (the rest are zero)."""
+    _unpack reads the pivot rows out in the returned order (the rest are zero)."""
     mrows, ncols = a.shape
     cols = _pack(a)
     used, piv, order = 0, [], []
@@ -481,12 +486,13 @@ def _rref_f2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         order.append(rbit.bit_length() - 1)
         if len(piv) == mrows:
             break
-    return _unpack(cols, order, mrows).astype(np.int64, copy=False), piv
+    return cols, order, piv
 
 
-def _rref_f3(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan over F3 on packed columns, as _rref_f2: each column is
-    two ints, P (rows holding 1) and N (rows holding 2)."""
+def _eliminate_f3(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Gauss-Jordan over F3 on packed columns, as _eliminate_f2: each column
+    is two ints, P (rows holding 1) and N (rows holding 2), and the columns
+    come back as all the P ints, then all the N ints."""
     mrows, ncols = a.shape
     packed = _pack(np.hstack((a == 1, a == 2)))
     P, N = packed[:ncols], packed[ncols:]
@@ -518,8 +524,10 @@ def _rref_f3(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         order.append(rbit.bit_length() - 1)
         if len(piv) == mrows:
             break
-    bits = _unpack(P + N, order, mrows)
-    return (bits[:, :ncols] | bits[:, ncols:] << 1).astype(np.int64, copy=False), piv
+    return P + N, order, piv
+
+
+_PACKED = {2: _eliminate_f2, 3: _eliminate_f3}
 
 
 def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -585,6 +593,9 @@ def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: Mat) -> int:
+    """Over F2 and F3 the packed elimination only counts its pivots."""
+    if m.field.char in _PACKED:
+        return len(_PACKED[m.field.char](m.a)[2])
     return len(rref(m)[1])
 
 
@@ -742,9 +753,15 @@ class IncrementalSpan:
 
 
 def random_mat(rng: Random, field: Field, r: int, c: int) -> Mat:
-    """Random r x c matrix drawn row by row: uniform over F_p, in [-2, 2] over Q."""
+    """Random r x c matrix drawn row by row: uniform over F_p, in [-2, 2] over Q.
+    Each entry takes the draws rng.randrange(p) (randint(-2, 2)) would take."""
+    bound = field.p if isinstance(field, PrimeField) else 5
+    k, draw, out = bound.bit_length(), rng.getrandbits, []
+    for _ in range(r * c):
+        x = draw(k)
+        while x >= bound:
+            x = draw(k)
+        out.append(x)
     if isinstance(field, PrimeField):
-        data = [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
-    else:
-        data = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
-    return Mat(field, np.array(data, dtype=object).reshape(r, c))
+        return Mat._of(field, np.array(out, dtype=np.int64).reshape(r, c))
+    return Mat._of(field, (np.array(out, dtype=object) - 2).reshape(r, c))

@@ -187,6 +187,10 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+# Most rows (q = 0..n on P^n) a cohomology table may have.
+_MAX_TABLE_ROWS = 100_000
+
+
 def space_dim(space: str) -> int:
     if space == "P1xP1":
         return 2
@@ -197,6 +201,8 @@ def space_dim(space: str) -> int:
         raise SchemaError(f"dimension of space {space[:16]!r}... is too large") from None
     if n < 1:
         raise SchemaError(f"unknown space {space!r} (expected Pn or P1xP1)")
+    if n + 1 > _MAX_TABLE_ROWS:
+        raise SchemaError(f"space {space[:16]!r} needs a table of over {_MAX_TABLE_ROWS} rows")
     return n
 
 

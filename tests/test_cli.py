@@ -368,6 +368,16 @@ def test_projcoh_space_with_more_digits_than_int_converts_exits_2(capsys):
     assert "schema error" in captured.err
 
 
+def test_projcoh_space_with_more_than_100000_table_rows_exits_2(capsys):
+    """P100000's table would have 100,001 rows; it is refused before any is built."""
+    for space in ("P100000", "P100000000", "P" + "1" * 4000):
+        rc = main(["projcoh", space, "O(1)"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "schema error" in captured.err and "over 100000 rows" in captured.err
+
+
 def test_projcoh_has_no_space_or_sheaf_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["projcoh", "--space", "P2", "--sheaf", "O(1)"])

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 import roofext.instances as instances
-from roofext.algebra import random_bound_quiver_algebra
+from roofext.algebra import _closure, free_module, random_bound_quiver_algebra
 from roofext.complexes import cohomology
 from roofext.errors import DegenerateFiltrationError
 from roofext.ext import class_of_extension
@@ -27,7 +27,7 @@ from roofext.instances import (
     random_ses_triple,
     sum_complexes,
 )
-from roofext.linalg import GF, QQ, field_from_name
+from roofext.linalg import GF, QQ, Mat, field_from_name, random_mat
 
 F2 = field_from_name("f2")
 F3 = field_from_name("f3")
@@ -92,6 +92,23 @@ def test_random_module_deterministic():
         alg = random_bound_quiver_algebra(rng, F3)
         draws.append(random_module(rng, alg, max_dim=4))
     assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "QQ"])
+def test_top_test_says_generates_exactly_when_the_closure_is_everything(field, seed):
+    rng = Random(seed)
+    seen = set()
+    for _ in range(40):
+        algebra = random_bound_quiver_algebra(rng, field)
+        free = free_module(algebra, 1)
+        gens = random_mat(rng, field, free.dim, rng.randint(1, 3)).a.copy()
+        gens[[rng.random() < 0.4 for _ in range(free.dim)]] = 0  # leave some vertices unhit
+        gens = Mat(field, gens)
+        generates = instances._generates_regular(algebra, gens)
+        assert generates == (_closure(free, gens)[0].ncols == free.dim)
+        seen.add(generates)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
@@ -226,7 +243,7 @@ def test_seeded_draws_are_pinned(kind, name):
 
 @pytest.mark.parametrize("name", ["f2", "f3"])
 def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
-    # Rejected draws are decided from closure bases alone: submodule runs for
+    # Rejected draws are decided from ranks alone: submodule runs for
     # F1 and F2 of each returned filtration and once per quotient built, and a
     # quotient is built only for an ambient that passes dim >= 3.
     subs, quotient_dims = [], []

@@ -243,7 +243,8 @@ def _gauss_jordan(rows, ncols, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rref_matches_gauss_jordan_over_fp(p):
-    """GF(2) and GF(3) run the packed kernels, GF(5) the numpy one."""
+    """GF(2) and GF(3) run the packed kernels, GF(5) the numpy one; rank over
+    GF(2) and GF(3) counts the packed pivots without reading the form out."""
     rng = Random(p)
     shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
                                           for _ in range(60)]
@@ -279,6 +280,7 @@ def test_rref_matches_gauss_jordan_over_fp(p):
         want, want_pivots = _gauss_jordan(rows, n, p)
         assert red.shape == (m, n) and red.a.dtype == np.int64
         assert red.a.tolist() == want and pivots == want_pivots
+        assert rank(mat) == len(want_pivots)
         assert np.array_equal(mat.a, before)
 
 
@@ -462,6 +464,33 @@ def test_results_are_canonical_and_read_only(field):
         vecs = random_mat(rng, field, module.dim, 3)
         _assert_canonical(module.act_all(vecs))
         _assert_canonical(module.act(algebra.dim - 1, vecs))
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), GF(33554393), QQ], ids=str)
+def test_random_mat_draws_as_randrange_does(field):
+    """Same entries, and the same generator state after, as one randrange(p)
+    (randint(-2, 2) over Q) per entry, row by row."""
+    for seed in range(6):
+        rng, ref = Random(seed), Random(seed)
+        for r, c in [(4, 7), (0, 3), (3, 0), (1, 1), (9, 2)]:
+            got = random_mat(rng, field, r, c)
+            if field == QQ:
+                want = [[ref.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+            else:
+                want = [[ref.randrange(field.p) for _ in range(c)] for _ in range(r)]
+            assert got.shape == (r, c) and got.a.tolist() == want
+            _assert_canonical(got)
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("field", [F2, GF(5), QQ], ids=str)
+def test_keys_are_equal_exactly_for_equal_matrices(field):
+    rng = Random(17)
+    mats = [random_mat(rng, field, rng.randint(0, 3), rng.randint(0, 3)) for _ in range(40)]
+    mats += [Mat.zeros(field, 2, 3), Mat.zeros(field, 3, 2), Mat.zeros(F3, 2, 3)]
+    for a in mats:
+        for b in mats:
+            assert (a.key() == b.key()) == (a == b)
 
 
 # -- incremental spans --------------------------------------------------------

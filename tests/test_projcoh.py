@@ -190,6 +190,12 @@ def test_grothendieck_vanishing_in_tables():
         assert all(q <= n for q in t.entries)
 
 
+def test_space_dim_bounds_table_rows():
+    assert space_dim("P99999") == 99999  # 100,000 rows
+    with pytest.raises(SchemaError, match="over 100000 rows"):
+        space_dim("P100000")
+
+
 def test_parser_normalizes():
     assert parse_sheaf("P3", "O(2)(3)").describe() == "O(5)"
     assert parse_sheaf("P3", "Omega^0(7)").describe() == "O(7)"
