@@ -494,25 +494,26 @@ def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
 
 
 def direct_sum(mods: list[Module]):
-    """Direct sum with injection and projection homs."""
+    """Direct sum with injection and projection homs: each summand's
+    act_all(identity) fills its diagonal block of every action matrix, and
+    the injections and projections are slices of one identity."""
     if not mods:
         raise ValueError("empty direct sum needs an algebra; use a zero module")
     algebra = mods[0].algebra
     field = mods[0].field
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    action = [block_diag([m.act_mat(i) for m in mods]) for i in range(algebra.dim)]
-    amb = Module(algebra, action=action)
-    injs, projs, off = [], [], 0
-    for m in mods:
-        ji = Mat.zeros(field, total, m.dim).a.copy()
-        pi = Mat.zeros(field, m.dim, total).a.copy()
-        for t in range(m.dim):
-            ji[off + t, t] = 1
-            pi[t, off + t] = 1
-        injs.append(ModuleHom(m, amb, Mat(field, ji), check=False))
-        projs.append(ModuleHom(amb, m, Mat(field, pi), check=False))
-        off += m.dim
+    n = algebra.dim
+    offs = np.cumsum([0] + [m.dim for m in mods]).tolist()
+    action = field.zeros((n, offs[-1], offs[-1]))
+    for m, o in zip(mods, offs):
+        if m.dim:  # act_all(identity) is [A_0 | A_1 | ...]
+            hit = m.act_all(Mat.identity(field, m.dim)).a.reshape(m.dim, n, m.dim)
+            action[:, o:o + m.dim, o:o + m.dim] = hit.transpose(1, 0, 2)
+    amb = Module(algebra, action=[Mat._of(field, action[i]) for i in range(n)])
+    eye = Mat.identity(field, offs[-1]).a
+    injs = [ModuleHom(m, amb, Mat._of(field, eye[:, o:o + m.dim]), check=False)
+            for m, o in zip(mods, offs)]
+    projs = [ModuleHom(amb, m, Mat._of(field, eye[o:o + m.dim]), check=False)
+             for m, o in zip(mods, offs)]
     return amb, injs, projs
 
 

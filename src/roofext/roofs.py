@@ -18,7 +18,7 @@ from __future__ import annotations
 from random import Random
 
 from .algebra import Filtration, Module, ModuleHom, direct_sum, submodule_quotient
-from .complexes import ChainMap, Complex, Homotopy, cohomology, is_quasi_iso, shift
+from .complexes import ChainMap, Complex, Homotopy, is_quasi_iso, shift
 from .errors import InvariantError, MiddleMismatchError, SchemaError, UnsupportedEndpointsError
 from .ext import (
     ExtElement,
@@ -106,7 +106,7 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
     r1.apex^n + r2.apex^n + middle^(n-1), with the middle coordinate acting
     as an explicit homotopy between the two ways around the square.  The
     projection onto r1.apex is a quasi-isomorphism (base change of r2.s),
-    which the Roof constructor re-verifies.
+    which the Roof constructor re-verifies on ranks.
     """
     if r1.target != r2.source:
         raise MiddleMismatchError(

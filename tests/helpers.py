@@ -4,6 +4,11 @@ chain_map_data computes the space of chain maps and its null-homotopic
 subspace straight from the commuting-square constraints, using nothing but
 hom_space bases and one kernel computation — deliberately bypassing
 inner_hom so the two can be compared.
+
+quasi_iso_reference decides quasi-isomorphisms through canonical cohomology,
+and direct_sum_reference builds direct sums with block_diag and entrywise
+injections; both are the package's earlier constructions, kept as oracles
+for is_quasi_iso and direct_sum.
 """
 
 from dataclasses import dataclass
@@ -11,9 +16,9 @@ from random import Random
 
 import numpy as np
 
-from roofext.algebra import ModuleHom, coordinates_in_hom_basis, hom_space
-from roofext.complexes import ChainMap, Complex
-from roofext.linalg import Mat, kernel_basis, random_mat, rank, solve
+from roofext.algebra import Module, ModuleHom, coordinates_in_hom_basis, hom_space
+from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
+from roofext.linalg import Mat, block_diag, kernel_basis, random_mat, rank, solve
 
 
 @dataclass
@@ -116,3 +121,42 @@ def chain_map_data(x: Complex, y: Complex) -> ChainMapData:
             cols.append(vec)
     boundaries = Mat(field, np.hstack(cols)) if cols else Mat.zeros(field, total, 0)
     return ChainMapData(x, y, slot_bases, offsets, total, cocycles, boundaries)
+
+
+def quasi_iso_reference(f: ChainMap) -> QuasiIsoReport:
+    """Canonical cohomology of both ends in every degree, and the rank of
+    the induced map between their class coordinates."""
+    lo = min(f.source.lo, f.target.lo)
+    hi = max(f.source.hi, f.target.hi)
+    degrees = {}
+    ok = True
+    for n in range(lo, hi + 1):
+        hx = cohomology(f.source, n)
+        hy = cohomology(f.target, n)
+        induced = hy.project @ (f.comp(n).matrix @ hx.include)
+        r = rank(induced)
+        degrees[n] = (hx.module.dim, hy.module.dim, r)
+        if not (hx.module.dim == hy.module.dim == r):
+            ok = False
+    return QuasiIsoReport(ok=ok, degrees=degrees)
+
+
+def direct_sum_reference(mods: list[Module]):
+    """Block-diagonal actions, one block_diag per algebra basis vector, and
+    injections and projections filled entry by entry."""
+    algebra = mods[0].algebra
+    field = mods[0].field
+    total = sum(m.dim for m in mods)
+    action = [block_diag([m.act_mat(i) for m in mods]) for i in range(algebra.dim)]
+    amb = Module(algebra, action=action)
+    injs, projs, off = [], [], 0
+    for m in mods:
+        ji = Mat.zeros(field, total, m.dim).a.copy()
+        pi = Mat.zeros(field, m.dim, total).a.copy()
+        for t in range(m.dim):
+            ji[off + t, t] = 1
+            pi[t, off + t] = 1
+        injs.append(ModuleHom(m, amb, Mat(field, ji), check=False))
+        projs.append(ModuleHom(amb, m, Mat(field, pi), check=False))
+        off += m.dim
+    return amb, injs, projs

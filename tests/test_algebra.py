@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import roofext
+from helpers import direct_sum_reference
 from roofext.algebra import (
     Algebra,
     Filtration,
@@ -402,6 +403,25 @@ def test_direct_sum_identities():
     assert (projs[0] @ injs[1]).is_zero()
     acc = injs[0] @ projs[0] + injs[1] @ projs[1]
     assert acc == ModuleHom.identity(total)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_direct_sum_matches_block_diag_reference(field):
+    rng = Random(0xD5)
+    for _ in range(8):
+        alg = random_bound_quiver_algebra(rng, field)
+        mods = [free_module(alg, r) for r in range(3)] + [random_module(rng, alg)]
+        rng.shuffle(mods)
+        for k in (1, 2, 4):
+            total, injs, projs = direct_sum(mods[:k])
+            want, want_injs, want_projs = direct_sum_reference(mods[:k])
+            assert total.key() == want.key()
+            assert [h.matrix for h in injs] == [h.matrix for h in want_injs]
+            assert [h.matrix for h in projs] == [h.matrix for h in want_projs]
+            mats = [total.act_mat(i) for i in range(alg.dim)]
+            mats += [h.matrix for h in injs + projs]
+            assert not any(m.a.flags.writeable for m in mats)
+            assert all(m.a.dtype == want.act_mat(0).a.dtype for m in mats)
 
 
 def test_vector_space_module():

@@ -11,8 +11,14 @@ from random import Random
 
 import pytest
 
-from helpers import chain_map_data
-from roofext.algebra import ModuleHom, truncated_polynomial_algebra
+from helpers import chain_map_data, quasi_iso_reference
+from roofext.algebra import (
+    Module,
+    ModuleHom,
+    direct_sum,
+    random_bound_quiver_algebra,
+    truncated_polynomial_algebra,
+)
 from roofext.complexes import (
     ChainMap,
     Complex,
@@ -22,13 +28,22 @@ from roofext.complexes import (
     inner_hom,
     is_quasi_iso,
     shift,
+    zero_module,
 )
 from roofext.errors import SchemaError
-from roofext.instances import kx3_regular, kx3_simple, random_complex
+from roofext.instances import (
+    kx3_regular,
+    kx3_simple,
+    random_complex,
+    random_filtration,
+    sum_complexes,
+)
 from roofext.linalg import GF, QQ, Mat
+from roofext.roofs import compose_roofs, filtration_sequences, ses_to_roof
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
 
 
 def _mult_by_x(field=QQ):
@@ -73,6 +88,20 @@ def test_complex_equality_and_cache_key():
     b = _mult_by_x()
     assert a == b and hash(a) == hash(b)
     assert a != shift(a, 1)
+    assert a == a
+
+
+def test_zero_objects_are_one_module_per_algebra():
+    c = _mult_by_x(F3)
+    zero = zero_module(c.algebra)
+    assert zero.dim == 0 and zero_module(c.algebra) is zero
+    assert c.obj(c.hi + 3) is zero and c.obj(c.lo - 1) is zero
+    assert c.diff(c.hi).target is zero
+    m = kx3_simple(F3)
+    assert Complex.single(m) == Complex.single(m)
+    # a zero object between two live degrees is the shared one as well
+    gap = Complex(m.algebra, {0: m, 1: Module(m.algebra, free_rank=0), 2: m}, {})
+    assert gap.obj(1) is zero_module(m.algebra)
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -142,6 +171,43 @@ def test_non_quasi_iso_reported():
     rep = is_quasi_iso(zero)
     assert not rep
     assert rep.degrees[0] == (1, 1, 0)  # right dims, rank drops
+
+
+def _summand_maps(parts):
+    """Inclusion and projection chain maps of each summand of sum_complexes."""
+    total = sum_complexes(parts)
+    sums = {n: direct_sum([p.obj(n) for p in parts]) for n in total.degrees()}
+    maps = []
+    for i, p in enumerate(parts):
+        maps.append(ChainMap(p, total, {n: s[1][i] for n, s in sums.items()}))
+        maps.append(ChainMap(total, p, {n: s[2][i] for n, s in sums.items()}))
+    return maps
+
+
+def _roof_legs(rng, field):
+    """The s and g legs of both filtration roofs and of their composite."""
+    bottom, top = filtration_sequences(random_filtration(rng, field))
+    r1, r2 = ses_to_roof(top), ses_to_roof(bottom).shift(1)
+    return [leg for r in (r1, r2, compose_roofs(r1, r2)) for leg in (r.s, r.g)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["f2", "f3", "f5", "q"])
+def test_quasi_iso_report_matches_cohomology_reference(field):
+    """The rank formulas against canonical cohomology, report for report."""
+    rng = Random(0x9150)
+    outcomes = set()
+    maps = _roof_legs(rng, field)
+    for t in range(16):
+        alg = (truncated_polynomial_algebra(field, 3) if t % 2
+               else random_bound_quiver_algebra(rng, field))
+        x = random_complex(rng, alg, max_dim=4)
+        y = random_complex(rng, alg, max_dim=4)
+        maps += [ChainMap.identity(x), ChainMap.zero(x, y), *_summand_maps([x, y])]
+    for f in maps:
+        got, want = is_quasi_iso(f), quasi_iso_reference(f)
+        assert (got.ok, got.degrees) == (want.ok, want.degrees)
+        outcomes.add(got.ok)
+    assert outcomes == {True, False}
 
 
 def test_cone_of_identity_is_acyclic():

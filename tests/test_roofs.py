@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from roofext.algebra import Module, ModuleHom, submodule
-from roofext.complexes import ChainMap, Complex, is_quasi_iso
+from roofext.complexes import ChainMap, Complex, is_quasi_iso, zero_module
 from roofext.errors import (
     DegenerateFiltrationError,
     MiddleMismatchError,
@@ -167,6 +167,25 @@ def test_composite_matches_product_on_ka3():
     want = yoneda_product(class_of_extension(e_top), class_of_extension(e_bot))
     assert not want.is_zero()
     assert got == want
+
+
+def test_composite_keeps_zero_objects_shared():
+    """Every zero object of the composite roof is its algebra's one zero
+    module, and so is every endpoint of a zero leg component."""
+    roof = compose_roofs(ses_to_roof(ka3_first_step(QQ)),
+                         ses_to_roof(ka3_second_step(QQ)).shift(1))
+    zeros = 0
+    for c in (roof.source, roof.target, roof.apex):
+        for n in range(c.lo - 2, c.hi + 3):
+            if c.obj(n).dim == 0:
+                assert c.obj(n) is zero_module(c.algebra)
+                zeros += 1
+    for leg in (roof.s, roof.g):
+        for n in range(leg.source.lo - 1, leg.source.hi + 2):
+            comp = leg.comp(n)
+            for m in (comp.source, comp.target):
+                assert m.dim or m is zero_module(m.algebra)
+    assert zeros
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ])
