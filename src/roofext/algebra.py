@@ -27,7 +27,6 @@ is action-stable because e_j (e_i g) = (e_j e_i) g and contains G because
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -37,10 +36,9 @@ from .linalg import (
     Field,
     IncrementalSpan,
     Mat,
-    QQ,
     _dot,
+    _kernel,
     block_diag,
-    hstack,
     kernel_basis,
     quotient_coords,
     rank,
@@ -453,8 +451,9 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
     return quot, proj, qc.section
 
 
-def hom_space(source: Module, target: Module) -> list[ModuleHom]:
-    """Basis of the space of A-linear maps source -> target.
+def _hom_matrix(source: Module, target: Module) -> tuple[Mat, tuple[int, ...]]:
+    """(K, free): Hom_A(source, target) as the columns of K, each hom F
+    flattened row-major, with K the identity on its free rows (see _kernel).
 
     Solved as one kernel computation: row-major vectorization turns the
     intertwining constraints into (A_i (x) I - I (x) A_i^T) vec(F) = 0.
@@ -462,35 +461,21 @@ def hom_space(source: Module, target: Module) -> list[ModuleHom]:
     n, m = target.dim, source.dim
     field = source.field
     if n == 0 or m == 0:
-        return []
+        return Mat.zeros(field, n * m, 0), ()
     eye_m = Mat.identity(field, m).a
     eye_n = Mat.identity(field, n).a
-    blocks = []
-    for i in range(source.algebra.dim):
-        an = target.act_mat(i).a
-        am = source.act_mat(i).a
-        blocks.append(np.kron(an, eye_m) - np.kron(eye_n, am.T))
-    sys = Mat(field, np.vstack(blocks))
-    ker = kernel_basis(sys)
-    homs = []
-    for j in range(ker.ncols):
-        f = Mat(field, ker.a[:, j].reshape(n, m).copy())
-        homs.append(ModuleHom(source, target, f, check=False))
-    return homs
+    blocks = [np.kron(target.act_mat(i).a, eye_m) - np.kron(eye_n, source.act_mat(i).a.T)
+              for i in range(source.algebra.dim)]
+    return _kernel(Mat(field, np.vstack(blocks)))
 
 
-def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
-    """Coefficients of a hom in a given hom_space basis (column vector)."""
-    if not basis:
-        if hom_matrix.is_zero():
-            return Mat.zeros(hom_matrix.field, 0, 1)
-        raise ValueError("hom not in span of empty basis")
-    cols = hstack([Mat(b.matrix.field, b.matrix.a.reshape(-1, 1).copy()) for b in basis])
-    vec = Mat(hom_matrix.field, hom_matrix.a.reshape(-1, 1).copy())
-    out = solve(cols, vec)
-    if out is None:
-        raise ValueError("hom does not lie in the span of the basis")
-    return out
+def hom_space(source: Module, target: Module) -> list[ModuleHom]:
+    """Basis of the space of A-linear maps source -> target: the columns of
+    _hom_matrix, reshaped."""
+    K, _ = _hom_matrix(source, target)
+    shape = (target.dim, source.dim)
+    return [ModuleHom(source, target, Mat._of(source.field, K.a[:, j].reshape(shape)),
+                      check=False) for j in range(K.ncols)]
 
 
 def direct_sum(mods: list[Module]):

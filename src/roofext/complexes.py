@@ -8,7 +8,10 @@ on by the roof calculus.
 Cohomology comes with canonical coordinates: a matrix of representative
 cocycles and a projection that kills coboundaries, both derived from
 reduced echelon forms so that independently computed classes of the same
-complex can be compared coordinatewise.
+complex can be compared coordinatewise.  Coordinates in a canonical basis
+(cocycles, hom spaces) are read off its free rows, where it is the
+identity, and every block differential (cones, Hom complexes, homotopy
+systems) is one linalg.block_matrix.
 
 Quasi-isomorphisms are decided on ranks alone and build no cohomology:
 dim H^n(X) = dim X^n - rk d_X^n - rk d_X^(n-1), and
@@ -18,14 +21,21 @@ since a block matrix [[A, 0], [B, C]] has rank rk A + dim(B ker A + im C).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Module, ModuleHom, hom_space, trivial_algebra, vector_space_module
+from .algebra import (
+    Algebra,
+    Module,
+    ModuleHom,
+    _hom_matrix,
+    direct_sum,
+    trivial_algebra,
+    vector_space_module,
+)
 from .errors import InvariantError, SchemaError
-from .linalg import Mat, rank, solve, subquotient
+from .linalg import Mat, _dot, block_matrix, rank, solve, subquotient
 
 __all__ = [
     "Complex",
@@ -244,8 +254,8 @@ class CohomologyData:
     """H^n of a complex with canonical coordinates.
 
     include maps class coordinates to representative cocycles in X^n;
-    project maps X^n to class coordinates (meaningful on cocycles, kills
-    coboundaries everywhere).  project @ include = identity.
+    project maps cocycles to class coordinates and kills coboundaries, with
+    project @ include = identity; it is fixed only on cocycles.
     """
 
     module: Module
@@ -254,29 +264,19 @@ class CohomologyData:
     project: Mat
 
 
-_cohomology_lock = threading.RLock()
-
-
 def cohomology(x: Complex, n: int) -> CohomologyData:
     """Cohomology in degree n with canonical section and projection.
 
-    Results are cached on the complex; the cache is safe to hit from
-    several threads at once.
+    Results are cached on the complex.  The cache takes no lock: roofext is
+    not thread-safe, so do not share modules or complexes across threads.
     """
     key = ("H", n)
-    with _cohomology_lock:
-        if key in x._cache:
-            return x._cache[key]
-        data = _compute_cohomology(x, n)
-        x._cache[key] = data
-        return data
-
-
-def _compute_cohomology(x: Complex, n: int) -> CohomologyData:
-    xn = x.obj(n)
-    Z, _, include, project = subquotient(x.diff(n).matrix, x.diff(n - 1).matrix)
-    module = Module.from_act_all(x.algebra, project @ xn.act_all(include))
-    return CohomologyData(module=module, cocycles=Z, include=include, project=project)
+    if key not in x._cache:
+        Z, _, include, project = subquotient(x.diff(n).matrix, x.diff(n - 1).matrix)
+        module = Module.from_act_all(x.algebra, project @ x.obj(n).act_all(include))
+        x._cache[key] = CohomologyData(module=module, cocycles=Z, include=include,
+                                       project=project)
+    return x._cache[key]
 
 
 @dataclass
@@ -301,22 +301,47 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoReport:
         hy = yn - ry.get(n, 0) - ry.get(n - 1, 0)
         r = 0
         if hx and hy:
-            block = x.algebra.field.zeros((x1 + yn, xn + y0))
-            block[:x1, :xn] = x.diff(n).matrix.a
-            block[x1:, :xn] = f.comp(n).matrix.a
-            block[x1:, xn:] = y.diff(n - 1).matrix.a
-            r = rank(Mat._of(x.algebra.field, block)) - rx.get(n, 0) - ry.get(n - 1, 0)
+            block = block_matrix(x.algebra.field, [x1, yn], [xn, y0], {
+                (0, 0): x.diff(n).matrix, (1, 0): f.comp(n).matrix, (1, 1): y.diff(n - 1).matrix})
+            r = rank(block) - rx.get(n, 0) - ry.get(n - 1, 0)
         degrees[n] = (hx, hy, r)
     return QuasiIsoReport(all(hx == hy == r for hx, hy, r in degrees.values()), degrees)
+
+
+def _after(d: Mat, homs: Mat, m: int) -> Mat:
+    """(d (x) I_m) homs: d @ F for each hom F with m columns among the
+    columns of homs, all flattened row-major, in one product."""
+    k = homs.ncols
+    out = _dot(d.field, d.a, homs.a.reshape(d.ncols, m * k))
+    return Mat._of(d.field, out.reshape(d.nrows * m, k))
+
+
+def _before(homs: Mat, d: Mat, n: int) -> Mat:
+    """(I_n (x) d^T) homs: F @ d for each hom F with n rows among the
+    columns of homs, all flattened row-major, in one product."""
+    k, m = homs.ncols, d.nrows
+    rows = homs.a.reshape(n, m, k).transpose(0, 2, 1).reshape(n * k, m)
+    out = _dot(d.field, rows, d.a).reshape(n, k, d.ncols).transpose(0, 2, 1)
+    return Mat._of(d.field, out.reshape(n * d.ncols, k))
+
+
+def _coords(K: Mat, free: tuple[int, ...], homs: Mat) -> Mat:
+    """Coordinates in the hom basis K of the flattened homs in the columns
+    of homs, read on K's free rows; raises unless they are members."""
+    coords = homs.take_rows(free)
+    if K @ coords != homs:
+        raise InvariantError("a composite of homs left the hom space")
+    return coords
 
 
 def find_homotopy(f: ChainMap, g: ChainMap | None = None) -> Homotopy | None:
     """Solve f - g = dh + hd for h; None when the maps are not homotopic.
 
     One global linear system over all degrees.  The unknowns are
-    coefficients over the module-hom basis of Hom(X^n, Y^(n-1)) in each
-    degree, so a witness is a genuine degree -1 map of modules, never a
-    merely k-linear one.
+    coefficients over the basis K_n of Hom(X^n, Y^(n-1)) in each degree, so
+    a witness h^n = K_n @ coefficients is a genuine degree -1 map of
+    modules, never a merely k-linear one.  Row block n holds the entries of
+    (dh + hd)^n: d_Y h^n from K_n and h^(n+1) d_X from K_(n+1).
     """
     if g is None:
         g = ChainMap.zero(f.source, f.target)
@@ -325,52 +350,26 @@ def find_homotopy(f: ChainMap, g: ChainMap | None = None) -> Homotopy | None:
     x, y = f.source, f.target
     field = x.algebra.field
     diff_map = f - g
-
-    bases = {}
-    for n in range(x.lo, x.hi + 1):
-        if x.obj(n).dim > 0 and y.obj(n - 1).dim > 0:
-            basis = hom_space(x.obj(n), y.obj(n - 1))
-            if basis:
-                bases[n] = basis
-    offsets = {}
-    total = 0
-    for n in sorted(bases):
-        offsets[n] = total
-        total += len(bases[n])
-
-    rows = []
-    rhs_rows = []
-    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
-        nx, ny = x.obj(n).dim, y.obj(n).dim
-        if ny * nx == 0:
-            continue
-        block = field.zeros((ny * nx, total))
-        if n in offsets:
-            d_y = y.diff(n - 1).matrix
-            for t, b in enumerate(bases[n]):
-                block[:, offsets[n] + t] = np.asarray((d_y @ b.matrix).a).reshape(-1)
-        if (n + 1) in offsets:
-            d_x = x.diff(n).matrix
-            for t, b in enumerate(bases[n + 1]):
-                block[:, offsets[n + 1] + t] = np.asarray((b.matrix @ d_x).a).reshape(-1)
-        rows.append(block)
-        rhs_rows.append(np.asarray(diff_map.comp(n).matrix.a, dtype=object).reshape(-1, 1))
-    if not rows:
-        return Homotopy(x, y, {})
-    sys = Mat(field, np.vstack(rows))
-    rhs = Mat(field, np.vstack(rhs_rows))
-    sol = solve(sys, rhs)
+    degs = range(min(x.lo, y.lo), max(x.hi, y.hi) + 1)
+    bases = [_hom_matrix(x.obj(n), y.obj(n - 1))[0] for n in degs]
+    parts = {}
+    for t, n in enumerate(degs):
+        parts[t, t] = _after(y.diff(n - 1).matrix, bases[t], x.obj(n).dim)
+        if t + 1 < len(degs):
+            parts[t, t + 1] = _before(bases[t + 1], x.diff(n).matrix, y.obj(n).dim)
+    system = block_matrix(field, [y.obj(n).dim * x.obj(n).dim for n in degs],
+                          [K.ncols for K in bases], parts)
+    rhs = Mat._of(field, np.vstack([diff_map.comp(n).matrix.a.reshape(-1, 1) for n in degs]))
+    sol = solve(system, rhs)
     if sol is None:
         return None
-    comps = {}
-    for n, basis in bases.items():
-        seg = sol.a[offsets[n]: offsets[n] + len(basis), 0]
-        m = Mat.zeros(field, y.obj(n - 1).dim, x.obj(n).dim)
-        for t, b in enumerate(basis):
-            if seg[t]:
-                m = m + b.matrix.scale(seg[t])
-        if not m.is_zero():
-            comps[n] = ModuleHom(x.obj(n), y.obj(n - 1), m, check=False)
+    comps, off = {}, 0
+    for K, n in zip(bases, degs):
+        flat = (K @ sol.take_rows(range(off, off + K.ncols))).a
+        off += K.ncols
+        if flat.any():
+            comps[n] = ModuleHom(x.obj(n), y.obj(n - 1), Mat._of(
+                field, flat.reshape(y.obj(n - 1).dim, x.obj(n).dim)), check=False)
     h = Homotopy(x, y, comps)
     if h.boundary() != diff_map:
         raise InvariantError("homotopy solve returned an invalid witness")
@@ -378,94 +377,50 @@ def find_homotopy(f: ChainMap, g: ChainMap | None = None) -> Homotopy | None:
 
 
 def cone(f: ChainMap) -> Complex:
-    """Mapping cone: cone(f)^n = X^(n+1) + Y^n, upper-triangular differential.
-
-    d(x, y) = (-d_X x, f x + d_Y y).
-    """
+    """Mapping cone: cone(f)^n = X^(n+1) + Y^n, with the block differential
+    [[-d_X, 0], [f, d_Y]], i.e. d(x, y) = (-d_X x, f x + d_Y y)."""
     x, y = f.source, f.target
-    algebra = x.algebra
-    field = algebra.field
-    from .algebra import direct_sum
-
-    lo = min(x.lo - 1, y.lo)
-    hi = max(x.hi - 1, y.hi)
-    objects = {}
-    parts = {}
-    for n in range(lo, hi + 1):
-        summand, injs, projs = direct_sum([x.obj(n + 1), y.obj(n)])
-        objects[n] = summand
-        parts[n] = (injs, projs)
+    lo, hi = min(x.lo - 1, y.lo), max(x.hi - 1, y.hi)
+    objects = {n: direct_sum([x.obj(n + 1), y.obj(n)])[0] for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo, hi):
-        injs1, projs1 = parts[n + 1]
-        injs0, projs0 = parts[n]
-        dx = x.diff(n + 1)
-        dy = y.diff(n)
-        fn = f.comp(n + 1)
-        m = (injs1[0] @ ModuleHom(dx.source, dx.target, -dx.matrix, check=False) @ projs0[0]) \
-            + (injs1[1] @ fn @ projs0[0]) + (injs1[1] @ dy @ projs0[1])
-        diffs[n] = m
-    return Complex(algebra, objects, diffs, check=True)
+        mat = block_matrix(x.algebra.field, [x.obj(n + 2).dim, y.obj(n + 1).dim],
+                           [x.obj(n + 1).dim, y.obj(n).dim], {
+            (0, 0): -x.diff(n + 1).matrix, (1, 0): f.comp(n + 1).matrix,
+            (1, 1): y.diff(n).matrix})
+        diffs[n] = ModuleHom(objects[n], objects[n + 1], mat, check=False)
+    return Complex(x.algebra, objects, diffs, check=True)
 
 
 def inner_hom(x: Complex, y: Complex) -> Complex:
     """Hom complex: degree n is the product of Hom(X^i, Y^(i+n)).
 
     Objects are plain vector spaces (modules over the one-dimensional
-    algebra); the differential is d(f) = d_Y f - (-1)^n f d_X.  Component
-    bases are the deterministic hom_space bases, slot by slot in increasing
-    i, so coordinates are reproducible.
+    algebra); the differential is d(f) = d_Y f - (-1)^n f d_X.  Each slot i
+    has the canonical basis K of _hom_matrix, and the slots follow in
+    increasing i, so coordinates are reproducible.  The differential is one
+    block matrix: slot i of d(f) is (d_Y (x) I) K and slot i - 1 is
+    -(-1)^n (I (x) d_X^T) K, each read on the free rows of its target slot.
     """
     field = x.algebra.field
     triv = trivial_algebra(field)
-    lo = y.lo - x.hi
-    hi = y.hi - x.lo
     if x.is_zero() or y.is_zero():
         return Complex(triv, {0: zero_module(triv)}, {}, check=False)
-
-    bases: dict[int, list[tuple[int, list[ModuleHom]]]] = {}
-    dims: dict[int, int] = {}
-    for n in range(lo, hi + 1):
-        slots = []
-        for i in x.degrees():
-            if x.obj(i).dim and y.obj(i + n).dim:
-                slots.append((i, hom_space(x.obj(i), y.obj(i + n))))
-        bases[n] = slots
-        dims[n] = sum(len(b) for _, b in slots)
-
-    def _coords_in(n: int, per_slot: dict[int, Mat]) -> np.ndarray:
-        """Coordinates of a family {i: matrix} in the degree-n basis."""
-        out = field.zeros((dims[n], 1))
-        off = 0
-        for i, basis in bases[n]:
-            if basis:
-                m = per_slot.get(i)
-                if m is not None and not m.is_zero():
-                    from .algebra import coordinates_in_hom_basis
-                    c = coordinates_in_hom_basis(basis, m)
-                    out[off: off + len(basis), :] = c.a
-                off += len(basis)
-        return out
-
-    objects = {n: vector_space_module(field, dims[n]) for n in range(lo, hi + 1)}
+    lo, hi = y.lo - x.hi, y.hi - x.lo
+    degs = x.degrees()
+    # slots[n][t]: (K, free) for Hom(X^i, Y^(i+n)), i = degs[t]
+    slots = {n: [_hom_matrix(x.obj(i), y.obj(i + n)) for i in degs] for n in range(lo, hi + 1)}
+    widths = {n: [K.ncols for K, _ in slots[n]] for n in slots}
+    objects = {n: vector_space_module(field, sum(widths[n])) for n in slots}
     diffs = {}
-    sign_of = {n: (1 if n % 2 == 0 else -1) for n in range(lo, hi + 1)}
     for n in range(lo, hi):
-        cols = []
-        for i, basis in bases[n]:
-            for b in basis:
-                per_slot: dict[int, Mat] = {}
-                up = y.diff(i + n).matrix @ b.matrix          # slot i of d(f)
-                if not up.is_zero():
-                    per_slot[i] = up
-                if i - 1 >= x.lo:
-                    down = (b.matrix @ x.diff(i - 1).matrix).scale(-sign_of[n])
-                    if not down.is_zero():
-                        per_slot[i - 1] = per_slot.get(i - 1, Mat.zeros(
-                            field, down.nrows, down.ncols)) + down
-                cols.append(_coords_in(n + 1, per_slot))
-        if dims[n] == 0:
-            continue
-        mat = Mat(field, np.hstack(cols)) if cols else Mat.zeros(field, dims[n + 1], 0)
+        parts = {}
+        for t, i in enumerate(degs):
+            K = slots[n][t][0]
+            parts[t, t] = _coords(*slots[n + 1][t], _after(y.diff(i + n).matrix, K, x.obj(i).dim))
+            if t:
+                down = _before(K, x.diff(i - 1).matrix, y.obj(i + n).dim)
+                parts[t - 1, t] = _coords(*slots[n + 1][t - 1], down if n % 2 else -down)
+        mat = block_matrix(field, widths[n + 1], widths[n], parts)
         diffs[n] = ModuleHom(objects[n], objects[n + 1], mat, check=False)
     return Complex(triv, objects, diffs, check=True)

@@ -20,7 +20,6 @@ with a pair-merging pass.
 
 from __future__ import annotations
 
-import threading
 from random import Random
 
 import numpy as np
@@ -68,8 +67,6 @@ __all__ = [
     "lift_solve",
     "SPLICE_PRODUCT_SIGN",
 ]
-
-_cache_lock = threading.RLock()
 
 # class(splice(e1, e2)) == SPLICE_PRODUCT_SIGN * yoneda_product(class(e1), class(e2)).
 # With free resolutions, quotient-side splicing, and the lifting order used in
@@ -212,15 +209,17 @@ class Resolution:
 
 
 def free_resolution(M: Module, d: int) -> Resolution:
-    """Free resolution of M truncated to degree >= d (cached per module)."""
+    """Free resolution of M truncated to degree >= d.
+
+    Cached on the module, without a lock: roofext is not thread-safe, so do
+    not share modules or complexes across threads.
+    """
     if d < 0:
         raise ValueError("truncation degree must be nonnegative")
-    with _cache_lock:
-        res = M._cache.get("resolution")
-        if res is None:
-            res = Resolution(M)
-            M._cache["resolution"] = res
-        res._extend_to(d)
+    res = M._cache.get("resolution")
+    if res is None:
+        res = M._cache["resolution"] = Resolution(M)
+    res._extend_to(d)
     return res
 
 
@@ -262,12 +261,10 @@ class _ExtSpace:
 
 
 def _ext_space(M: Module, N: Module, i: int) -> _ExtSpace:
-    with _cache_lock:
-        key = ("ext", N.key(), i)
-        space = M._cache.get(key)
-        if space is None:
-            space = _ExtSpace(M, N, i)
-            M._cache[key] = space
+    key = ("ext", N.key(), i)
+    space = M._cache.get(key)
+    if space is None:
+        space = M._cache[key] = _ExtSpace(M, N, i)
     return space
 
 
@@ -501,12 +498,10 @@ def class_of_extension(e: ExtensionSeq, rng: Random | None = None) -> ExtElement
     i = e.degree
     M, N = e.quotient, e.sub
     res = free_resolution(M, i + 1)
-    cur = lift_solve(e.maps[i].matrix, res.gens[0], rng)
-    for t in range(1, i):
-        rhs = eval_free_images(e.mods[i - t + 1], cur, res.gens[t])
-        cur = lift_solve(e.maps[i - t].matrix, rhs, rng)
-    rhs = eval_free_images(e.mods[1], cur, res.gens[i])
-    c = lift_solve(e.maps[0].matrix, rhs, rng)
+    c = lift_solve(e.maps[i].matrix, res.gens[0], rng)
+    for t in range(1, i + 1):
+        rhs = eval_free_images(e.mods[i - t + 1], c, res.gens[t])
+        c = lift_solve(e.maps[i - t].matrix, rhs, rng)
     chk = eval_free_images(N, c, res.gens[i + 1])
     if not chk.is_zero():
         raise InvariantError("lifted cocycle fails to vanish on the next syzygies")

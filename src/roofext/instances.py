@@ -22,10 +22,10 @@ from .algebra import (
     Filtration,
     Module,
     ModuleHom,
+    _hom_matrix,
     bound_quiver_algebra,
     direct_sum,
     free_module,
-    hom_space,
     quiver_simple,
     random_bound_quiver_algebra,
     submodule,
@@ -35,7 +35,7 @@ from .algebra import (
 from .complexes import Complex
 from .errors import DegenerateFiltrationError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, hstack, random_mat, rank
+from .linalg import QQ, Field, Mat, block_diag, hstack, random_mat, rank
 
 __all__ = [
     "kx3_regular",
@@ -244,27 +244,19 @@ def sum_complexes(parts: list[Complex]) -> Complex:
     algebra = parts[0].algebra
     lo = min(p.lo for p in parts)
     hi = max(p.hi for p in parts)
-    sums = {n: direct_sum([p.obj(n) for p in parts]) for n in range(lo, hi + 1)}
-    objects = {n: sums[n][0] for n in sums}
-    diffs = {}
-    for n in range(lo, hi):
-        amb, injs, _ = sums[n + 1]
-        _, _, projs = sums[n]
-        total = ModuleHom.zero(objects[n], amb)
-        for i, p in enumerate(parts):
-            total = total + (injs[i] @ p.diff(n) @ projs[i])
-        diffs[n] = total
+    objects = {n: direct_sum([p.obj(n) for p in parts])[0] for n in range(lo, hi + 1)}
+    diffs = {n: ModuleHom(objects[n], objects[n + 1],
+                          block_diag([p.diff(n).matrix for p in parts]), check=False)
+             for n in range(lo, hi)}
     return Complex(algebra, objects, diffs, check=True)
 
 
 def _random_hom(rng: Random, m: Module, n: Module) -> ModuleHom:
-    basis = hom_space(m, n)
-    if not basis:
+    K, _ = _hom_matrix(m, n)
+    if not K.ncols:
         return ModuleHom.zero(m, n)
-    field = m.field
-    flat = hstack([Mat(field, b.matrix.a.reshape(-1, 1)) for b in basis])
-    acc = (flat @ random_mat(rng, field, len(basis), 1)).a.reshape(n.dim, m.dim)
-    return ModuleHom(m, n, Mat(field, acc), check=False)
+    acc = (K @ random_mat(rng, m.field, K.ncols, 1)).a.reshape(n.dim, m.dim)
+    return ModuleHom(m, n, Mat._of(m.field, acc), check=False)
 
 
 def random_complex(rng: Random, algebra: Algebra, max_dim: int = 4) -> Complex:

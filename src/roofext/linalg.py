@@ -2,7 +2,13 @@
 
 Everything downstream (module theory, complexes, Ext groups, roofs) reduces
 to the handful of primitives in this file: reduced row echelon form, kernel
-bases, linear solves, and canonical coordinates on quotient spaces.  All
+bases, linear solves, and canonical coordinates on quotient spaces.
+
+Coordinates in a canonical basis are read, not solved for: a kernel basis
+from _kernel is the identity on its free rows, so a kernel vector v has
+coordinates v[free], checked by one product where membership is unknown.
+Block matrices (differentials, linear systems) are placed block by block
+with block_matrix, not summed from injection and projection products.  All
 arithmetic is exact: rationals are held in object arrays in one canonical
 form, `int` when integral and `fractions.Fraction` otherwise; prime fields
 are int64 arrays reduced mod p.
@@ -50,7 +56,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "solve",
-    "left_inverse",
     "quotient_coords",
     "QuotientCoords",
     "subquotient",
@@ -401,17 +406,22 @@ def vstack(mats: list[Mat]) -> Mat:
     return Mat._of(field, np.vstack([m.a for m in mats]))
 
 
-def block_diag(mats: list[Mat]) -> Mat:
-    field = mats[0].field
-    m = sum(x.nrows for x in mats)
-    n = sum(x.ncols for x in mats)
-    out = field.zeros((m, n))
-    i = j = 0
-    for x in mats:
-        out[i : i + x.nrows, j : j + x.ncols] = x.a
-        i += x.nrows
-        j += x.ncols
+def block_matrix(field: Field, rows: list[int], cols: list[int],
+                 parts: dict[tuple[int, int], Mat]) -> Mat:
+    """Block rows of heights rows, block columns of widths cols, parts[r, c]
+    in block (r, c) and zeros in every block parts leaves out."""
+    ro, co = np.cumsum([0, *rows]).tolist(), np.cumsum([0, *cols]).tolist()
+    out = field.zeros((ro[-1], co[-1]))
+    for (r, c), m in parts.items():
+        if m.shape != (rows[r], cols[c]):
+            raise ValueError(f"block ({r}, {c}) has shape {m.shape}, not {(rows[r], cols[c])}")
+        out[ro[r] : ro[r + 1], co[c] : co[c + 1]] = m.a
     return Mat._of(field, out)
+
+
+def block_diag(mats: list[Mat]) -> Mat:
+    return block_matrix(mats[0].field, [m.nrows for m in mats], [m.ncols for m in mats],
+                        {(t, t): m for t, m in enumerate(mats)})
 
 
 # -- elimination ----------------------------------------------------------
@@ -599,15 +609,22 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
+def _kernel(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """(K, free): the columns of K are the canonical (RREF-derived) basis of
+    the null space, and K is the identity on its free rows, the non-pivot
+    columns of m.  So a vector v of the null space has coordinates v[free]."""
+    r, piv = rref(m)
+    pivots = set(piv)
+    free = tuple(j for j in range(m.ncols) if j not in pivots)
+    out = m.field.zeros((m.ncols, len(free)))
+    out[list(free), range(len(free))] = 1
+    out[list(piv), :] = -r.a[: len(piv), list(free)]  # negated: Mat reduces it
+    return Mat(m.field, out), free
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical (RREF-derived) basis of the null space."""
-    r, piv = rref(m)
-    n = m.ncols
-    free = [j for j in range(n) if j not in set(piv)]
-    out = m.field.zeros((n, len(free)))
-    out[free, range(len(free))] = 1
-    out[list(piv), :] = -r.a[: len(piv), free]  # negated: Mat reduces it
-    return Mat(m.field, out)
+    return _kernel(m)[0]
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:
@@ -627,14 +644,6 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     for i, c in enumerate(piv):
         out[c, :] = r.a[i, n:]
     return Mat._of(m.field, out)
-
-
-def left_inverse(m: Mat) -> Mat:
-    """L with L @ m = identity; requires full column rank."""
-    sol = solve(m.T, Mat.identity(m.field, m.ncols))
-    if sol is None:
-        raise ValueError("matrix does not have full column rank")
-    return sol.T
 
 
 @dataclass(frozen=True)
@@ -688,24 +697,18 @@ def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, QuotientCoords, Mat, Mat]:
     Returns (Z, qc, include, project): Z is the canonical kernel basis of
     d_out, qc the quotient coordinates of the coboundaries inside Z,
     include maps class coordinates to representative cocycles, and project
-    maps the ambient space to class coordinates (meaningful on cocycles,
-    killing coboundaries), with project @ include = identity.
+    maps the ambient space to class coordinates, killing coboundaries, with
+    project @ include = identity.  Cocycle coordinates are Z's free rows, so
+    project is qc.proj on the free columns: it is fixed only on cocycles.
     """
-    field = d_out.field
-    Z = kernel_basis(d_out)
-    if d_in.ncols:
-        inz = solve(Z, d_in)
-        if inz is None:
-            raise InvariantError("coboundaries escaped the cocycles")
-    else:
-        inz = Mat.zeros(field, Z.ncols, 0)
+    Z, free = _kernel(d_out)
+    inz = d_in.take_rows(free)
+    if Z @ inz != d_in:
+        raise InvariantError("coboundaries escaped the cocycles")
     qc = quotient_coords(inz)
-    include = Z @ qc.section
-    if Z.ncols:
-        project = qc.proj @ left_inverse(Z)
-    else:
-        project = Mat.zeros(field, 0, Z.nrows)
-    return Z, qc, include, project
+    project = d_out.field.zeros((qc.dim, Z.nrows))
+    project[:, list(free)] = qc.proj.a
+    return Z, qc, Z @ qc.section, Mat._of(d_out.field, project)
 
 
 class IncrementalSpan:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .algebra import Filtration, Module, ModuleHom, direct_sum, submodule_quotient
+from .algebra import Filtration, ModuleHom, direct_sum, submodule_quotient
 from .complexes import ChainMap, Complex, Homotopy, is_quasi_iso, shift
 from .errors import InvariantError, MiddleMismatchError, SchemaError, UnsupportedEndpointsError
 from .ext import (
@@ -31,7 +31,7 @@ from .ext import (
     is_trivial,
     lift_solve,
 )
-from .linalg import Mat, vstack
+from .linalg import Mat, block_matrix, vstack
 
 __all__ = [
     "Roof",
@@ -116,26 +116,18 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
     algebra = z1.algebra
     lo = min(z1.lo, z2.lo, mid.lo + 1)
     hi = max(z1.hi, z2.hi, mid.hi + 1)
-    objects: dict[int, Module] = {}
-    parts = {}
-    for n in range(lo, hi + 1):
-        amb, injs, projs = direct_sum([z1.obj(n), z2.obj(n), mid.obj(n - 1)])
-        objects[n] = amb
-        parts[n] = (injs, projs)
+    sums = {n: direct_sum([z1.obj(n), z2.obj(n), mid.obj(n - 1)]) for n in range(lo, hi + 1)}
+    dims = {n: [z1.obj(n).dim, z2.obj(n).dim, mid.obj(n - 1).dim] for n in sums}
     diffs = {}
     for n in range(lo, hi):
-        injs1, _ = parts[n + 1]
-        _, projs0 = parts[n]
-        d = injs1[0] @ z1.diff(n) @ projs0[0]
-        d = d + injs1[1] @ z2.diff(n) @ projs0[1]
-        witness_row = (u.comp(n) @ projs0[0]) - (v.comp(n) @ projs0[1]) \
-            - (mid.diff(n - 1) @ projs0[2])
-        d = d + injs1[2] @ witness_row
-        diffs[n] = d
-    apex = Complex(algebra, objects, diffs, check=True)
-    p1 = ChainMap(apex, z1, {n: parts[n][1][0] for n in apex.degrees()}, check=True)
-    p2 = ChainMap(apex, z2, {n: parts[n][1][1] for n in apex.degrees()}, check=True)
-    witness = Homotopy(apex, mid, {n: parts[n][1][2] for n in apex.degrees()})
+        mat = block_matrix(algebra.field, dims[n + 1], dims[n], {
+            (0, 0): z1.diff(n).matrix, (1, 1): z2.diff(n).matrix, (2, 0): u.comp(n).matrix,
+            (2, 1): -v.comp(n).matrix, (2, 2): -mid.diff(n - 1).matrix})
+        diffs[n] = ModuleHom(sums[n][0], sums[n + 1][0], mat, check=False)
+    apex = Complex(algebra, {n: sums[n][0] for n in sums}, diffs, check=True)
+    p1 = ChainMap(apex, z1, {n: sums[n][2][0] for n in apex.degrees()}, check=True)
+    p2 = ChainMap(apex, z2, {n: sums[n][2][1] for n in apex.degrees()}, check=True)
+    witness = Homotopy(apex, mid, {n: sums[n][2][2] for n in apex.degrees()})
     if witness.boundary() != (u @ p1) - (v @ p2):
         raise InvariantError("homotopy pullback witness fails to bound the square")
     return Roof(r1.source, r2.target, apex, r1.s @ p1, r2.g @ p2)
@@ -180,7 +172,7 @@ def to_ext_class(r: Roof, rng: Random | None = None) -> ExtElement:
     # degree 0: land on cocycles of the apex that map onto the augmentation
     s0 = s.comp(0).matrix
     d0 = z.diff(0).matrix
-    system = vstack([Mat(field, s0.a), Mat(field, d0.a)])
+    system = vstack([s0, d0])
     rhs = vstack([res.gens[0], Mat.zeros(field, d0.nrows, res.ranks[0])])
     phi = lift_solve(system, rhs, rng)
     for t in range(1, k + 1):

@@ -2,8 +2,9 @@
 
 chain_map_data computes the space of chain maps and its null-homotopic
 subspace straight from the commuting-square constraints, using nothing but
-hom_space bases and one kernel computation — deliberately bypassing
-inner_hom so the two can be compared.
+hom_space bases, one kernel computation and solved coordinates
+(coordinates_in_hom_basis) — deliberately bypassing inner_hom, which reads
+coordinates off free rows, so the two can be compared.
 
 quasi_iso_reference decides quasi-isomorphisms through canonical cohomology,
 and direct_sum_reference builds direct sums with block_diag and entrywise
@@ -16,9 +17,24 @@ from random import Random
 
 import numpy as np
 
-from roofext.algebra import Module, ModuleHom, coordinates_in_hom_basis, hom_space
+from roofext.algebra import Module, ModuleHom, hom_space
 from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
-from roofext.linalg import Mat, block_diag, kernel_basis, random_mat, rank, solve
+from roofext.linalg import Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve
+
+
+def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
+    """Coefficients of a hom in a given hom_space basis (column vector), by
+    one linear solve."""
+    if not basis:
+        if hom_matrix.is_zero():
+            return Mat.zeros(hom_matrix.field, 0, 1)
+        raise ValueError("hom not in span of empty basis")
+    cols = hstack([Mat(b.matrix.field, b.matrix.a.reshape(-1, 1).copy()) for b in basis])
+    vec = Mat(hom_matrix.field, hom_matrix.a.reshape(-1, 1).copy())
+    out = solve(cols, vec)
+    if out is None:
+        raise ValueError("hom does not lie in the span of the basis")
+    return out
 
 
 @dataclass

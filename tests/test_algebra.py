@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import roofext
-from helpers import direct_sum_reference
+from helpers import coordinates_in_hom_basis, direct_sum_reference
 from roofext.algebra import (
     Algebra,
     Filtration,
     Module,
     ModuleHom,
+    _hom_matrix,
     bound_quiver_algebra,
     direct_sum,
     free_module,
@@ -262,6 +263,26 @@ def test_hom_space_dimensions():
     s0, s1 = quiver_simple(alg, 0), quiver_simple(alg, 1)
     assert hom_space(s0, s1) == []
     assert len(hom_space(s0, s0)) == 1
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_hom_matrix_coordinates_are_its_free_rows(field):
+    """Coordinates read off the free rows of _hom_matrix equal those solved
+    for in the hom_space basis, and hom_space is its columns, reshaped."""
+    rng = Random(0x40E)
+    for _ in range(10):
+        alg = random_bound_quiver_algebra(rng, field)
+        for source in (free_module(alg, 1), random_module(rng, alg)):
+            target = random_module(rng, alg)
+            K, free = _hom_matrix(source, target)
+            basis = hom_space(source, target)
+            assert [b.matrix.a.reshape(-1).tolist() for b in basis] == K.T.a.tolist()
+            assert K.take_rows(free) == Mat.identity(field, K.ncols)
+            coeffs = random_mat(rng, field, K.ncols, 1)
+            flat = K @ coeffs
+            hom = ModuleHom(source, target, Mat(field, flat.a.reshape(target.dim, source.dim)))
+            assert flat.take_rows(free) == coeffs
+            assert coordinates_in_hom_basis(basis, hom.matrix) == coeffs
 
 
 def test_hom_space_members_are_module_maps():

@@ -5,7 +5,7 @@ from helpers.chain_map_data, which never touches inner_hom; on one small F2
 instance the homotopy classes are also counted by literal enumeration.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import hashlib
 from itertools import product
 from random import Random
 
@@ -16,6 +16,7 @@ from roofext.algebra import (
     Module,
     ModuleHom,
     direct_sum,
+    free_module,
     random_bound_quiver_algebra,
     truncated_polynomial_algebra,
 )
@@ -30,7 +31,7 @@ from roofext.complexes import (
     shift,
     zero_module,
 )
-from roofext.errors import SchemaError
+from roofext.errors import InvariantError, SchemaError
 from roofext.instances import (
     kx3_regular,
     kx3_simple,
@@ -38,7 +39,7 @@ from roofext.instances import (
     random_filtration,
     sum_complexes,
 )
-from roofext.linalg import GF, QQ, Mat
+from roofext.linalg import GF, QQ, Mat, field_from_name
 from roofext.roofs import compose_roofs, filtration_sequences, ses_to_roof
 
 F2 = GF(2)
@@ -136,13 +137,6 @@ def test_shift_negates_differential_and_moves_cohomology():
 def test_shift_roundtrip():
     c = _mult_by_x(F2)
     assert shift(shift(c, 1), -1) == c
-
-
-def test_cohomology_cache_is_thread_safe():
-    c = _mult_by_x(F3)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: cohomology(c, 0), range(64)))
-    assert all(r is results[0] for r in results)  # one cached object
 
 
 # -- chain maps and quasi-isomorphisms -------------------------------------------
@@ -321,6 +315,46 @@ def test_inner_hom_random_cross_check(field, seed):
         assert (witness is not None) == data.is_null_homotopic(coeffs)
         if witness is not None:
             assert witness.boundary() == f
+
+
+def test_inner_hom_rejects_a_differential_that_is_not_a_module_map():
+    alg = truncated_polynomial_algebra(F3, 2)
+    a = free_module(alg, 1)
+    swap = ModuleHom(a, a, Mat(F3, [[0, 1], [1, 0]]), check=False)  # k-linear only
+    y = Complex(alg, {0: a, 1: a}, {0: swap}, check=False)
+    with pytest.raises(InvariantError, match="left the hom space"):
+        inner_hom(Complex.single(a, 0), y)
+
+
+# sha256 over ten seeded pairs x, y = random_complex(...) per field (from
+# Random(0x40C), each over a random_bound_quiver_algebra) of the key of
+# inner_hom(x, y), the include map of its H^0, and the find_homotopy
+# witnesses of id_x, of 0: x -> y and of the identity of the contractible
+# cone(id_x).  Dimensions alone do not pin these coordinates.
+HOM_COMPLEX_DIGESTS = {
+    "f2": "c1c765fa4f70eedbf9bec21747d02930236b844e9b681470be3b93eae32e989f",
+    "f3": "37036e240f7f421e8fd028f5d0bd2cf32e7cd675f441ebaa8892d891e3dd208c",
+    "f5": "7fd040877549945b9867609a3c79e93b8a51ec95f62983281f07e00354bc9e24",
+    "q": "8dea33b4c678d89bf60476f1f1d15940df653e055b896865c16b251855640a41",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_COMPLEX_DIGESTS))
+def test_hom_complex_and_homotopies_are_pinned(name):
+    field = field_from_name(name)
+    rng = Random(0x40C)
+    h = hashlib.sha256()
+    for _ in range(10):
+        alg = random_bound_quiver_algebra(rng, field)
+        x, y = random_complex(rng, alg), random_complex(rng, alg)
+        hom = inner_hom(x, y)
+        h.update(repr(hom.key()).encode())
+        h.update(repr(cohomology(hom, 0).include.key()).encode())
+        for f in (ChainMap.identity(x), ChainMap.zero(x, y),
+                  ChainMap.identity(cone(ChainMap.identity(x)))):
+            w = find_homotopy(f)
+            h.update(repr(w and sorted((n, c.matrix.key()) for n, c in w.comps.items())).encode())
+    assert h.hexdigest() == HOM_COMPLEX_DIGESTS[name]
 
 
 def test_random_complexes_are_bounded_and_valid(rng):

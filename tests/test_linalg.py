@@ -4,6 +4,7 @@ The F2 kernel test enumerates every vector of the domain, so the expected
 count is independent of the echelon machinery it checks.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -22,11 +23,12 @@ from roofext.linalg import (
     IncrementalSpan,
     Mat,
     _dot,
+    _kernel,
     block_diag,
+    block_matrix,
     field_from_name,
     hstack,
     kernel_basis,
-    left_inverse,
     quotient_coords,
     random_mat,
     rank,
@@ -367,10 +369,36 @@ def test_solve_none_when_inconsistent():
     assert solve(a, b) is None
 
 
-def test_left_inverse():
-    a = _mat(F3, [[1, 0], [2, 1], [1, 1]])
-    linv = left_inverse(a)
-    assert linv @ a == Mat.identity(F3, 2)
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_kernel_is_the_identity_on_its_free_rows(field):
+    rng = Random(0xF4EE)
+    for _ in range(25):
+        a = random_mat(rng, field, rng.randint(0, 5), rng.randint(0, 6))
+        K, free = _kernel(a)
+        assert K == kernel_basis(a) and (a @ K).is_zero()
+        assert K.take_rows(free) == Mat.identity(field, K.ncols)
+        assert sorted(set(free) | set(rref(a)[1])) == list(range(a.ncols))
+        v = K @ random_mat(rng, field, K.ncols, 2)  # null vectors: coordinates v[free]
+        assert K @ v.take_rows(free) == v
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_block_matrix_matches_stacked_parts(field):
+    """Missing parts are zero blocks, zero-size blocks take no room, and the
+    result equals the vstack of the hstacked block rows."""
+    rng = Random(0xB10C)
+    for _ in range(25):
+        rows = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        cols = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        parts = {(r, c): random_mat(rng, field, h, w).scale(Fraction(1, 2) if field == QQ else 1)
+                 for r, h in enumerate(rows) for c, w in enumerate(cols) if rng.random() < 0.6}
+        got = block_matrix(field, rows, cols, parts)
+        want = vstack([hstack([parts.get((r, c), Mat.zeros(field, h, w)) for c, w in enumerate(cols)])
+                       for r, h in enumerate(rows)])
+        assert got == want
+        _assert_canonical(got)
+    with pytest.raises(ValueError, match="shape"):
+        block_matrix(field, [1], [2], {(0, 0): Mat.zeros(field, 2, 1)})
 
 
 # -- quotient coordinates -----------------------------------------------------
@@ -408,6 +436,36 @@ def test_subquotient_zero_kernel(field):
     d_out = Mat.identity(field, 2)
     _check_subquotient(d_out, Mat.zeros(field, 2, 3), 0)
     _check_subquotient(d_out, Mat.zeros(field, 2, 0), 0)
+
+
+# sha256 over 40 seeded inputs (Random(0x5B0)) of the keys of Z, include,
+# project @ Z, project @ include and project on random cocycles, recorded
+# while project was still computed from a solved left inverse of Z.  project
+# is fixed only on cocycles, so these values must not move.
+SUBQUOTIENT_DIGESTS = {
+    "f2": "0cb76778d418b58a6c811dd4e1441fad6a45ffea327cd600b568199b5e518eae",
+    "f3": "a13a05111fd804e10ddb841d297b97aca595e9affca1e2345374cac0538bf45e",
+    "f5": "6972abf68c5201317835c3113e5381ce50b8aab94e68b73ec54defd94c486db4",
+    "q": "abcd73d253f4f49dec22499d937a6a2fb2db7acdfbfea5b0a6bf575083327e85",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBQUOTIENT_DIGESTS))
+def test_subquotient_on_cocycles_is_pinned(name):
+    field = field_from_name(name)
+    rng = Random(0x5B0)
+    h = hashlib.sha256()
+    for _ in range(40):
+        m, k = rng.randint(0, 5), rng.randint(0, 6)
+        d_out = random_mat(rng, field, m, k)
+        kb = kernel_basis(d_out)
+        d_in = kb @ random_mat(rng, field, kb.ncols, rng.randint(0, 4))
+        Z, qc, include, project = subquotient(d_out, d_in)
+        assert project @ Z == qc.proj
+        cocycles = Z @ random_mat(rng, field, Z.ncols, 3)
+        for r in (Z, include, project @ Z, project @ include, project @ cocycles):
+            h.update(repr(r.key()).encode())
+    assert h.hexdigest() == SUBQUOTIENT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -454,7 +512,7 @@ def test_results_are_canonical_and_read_only(field):
         results = [a @ b, a.T, a.col(k - 1), a.take_rows([m - 1, 0]),
                    a.take_cols(range(k)), hstack([a, a @ b]), vstack([a, b.T]),
                    block_diag([a, b]), rref(a)[0], rref(b.T)[0], kb,
-                   solve(a, a @ b), left_inverse(vstack([Mat.identity(field, k), a])),
+                   solve(a, a @ b),
                    qc.proj, qc.section, qc.reduced, Z, sq.proj, sq.section,
                    include, project, Mat.zeros(field, m, n), Mat.identity(field, k)]
         for r in results:
