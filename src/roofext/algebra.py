@@ -40,7 +40,6 @@ from .linalg import (
     _kernel,
     block_diag,
     kernel_basis,
-    quotient_coords,
     rank,
     rref,
     solve,
@@ -441,14 +440,15 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
     image is not action-stable.
     """
     basis = incl.matrix if isinstance(incl, ModuleHom) else incl
-    qc = quotient_coords(basis)
-    escaped = (qc.proj @ module.act_all(basis)).a != 0
+    K, free = _kernel(basis.T)
+    proj = K.T  # canonical quotient coordinates: see the linalg docstring
+    escaped = (proj @ module.act_all(basis)).a != 0
     if escaped.any():
         i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
         raise NotSubmoduleError(f"image not stable under the action of e_{i}")
-    quot = Module.from_act_all(module.algebra, qc.proj @ module.act_all(qc.section))
-    proj = ModuleHom(module, quot, qc.proj, check=False)
-    return quot, proj, qc.section
+    section = Mat.identity(module.field, module.dim).take_cols(free)
+    quot = Module.from_act_all(module.algebra, proj @ module.act_all(section))
+    return quot, ModuleHom(module, quot, proj, check=False), section
 
 
 def _hom_matrix(source: Module, target: Module) -> tuple[Mat, tuple[int, ...]]:
@@ -456,17 +456,18 @@ def _hom_matrix(source: Module, target: Module) -> tuple[Mat, tuple[int, ...]]:
     flattened row-major, with K the identity on its free rows (see _kernel).
 
     Solved as one kernel computation: row-major vectorization turns the
-    intertwining constraints into (A_i (x) I - I (x) A_i^T) vec(F) = 0.
+    intertwining constraints A_i F = F B_i into (A_i (x) I - I (x) B_i^T)
+    vec(F) = 0, placed entrywise: row (i, p, q) holds A_i[p, r] at column
+    (r, q) and -B_i[s, q] at column (p, s).
     """
-    n, m = target.dim, source.dim
+    n, m, k = target.dim, source.dim, source.algebra.dim
     field = source.field
-    if n == 0 or m == 0:
-        return Mat.zeros(field, n * m, 0), ()
-    eye_m = Mat.identity(field, m).a
-    eye_n = Mat.identity(field, n).a
-    blocks = [np.kron(target.act_mat(i).a, eye_m) - np.kron(eye_n, source.act_mat(i).a.T)
-              for i in range(source.algebra.dim)]
-    return _kernel(Mat(field, np.vstack(blocks)))
+    A = np.stack([target.act_mat(i).a for i in range(k)])
+    B = np.stack([source.act_mat(i).a for i in range(k)])
+    cons = field.zeros((k, n, m, n, m))
+    cons[:, :, range(m), :, range(m)] = A
+    cons[:, range(n), :, range(n), :] -= B.transpose(0, 2, 1)
+    return _kernel(Mat(field, cons.reshape(k * n * m, n * m)))
 
 
 def hom_space(source: Module, target: Module) -> list[ModuleHom]:

@@ -6,12 +6,12 @@ module is just a choice of generator images, so cochain spaces are
 coordinatized by stacked image vectors and every lift in sight is a plain
 linear solve.
 
-Classes carry canonical quotient coordinates (derived from echelon forms),
-so two classes are equal exactly when their coordinate vectors are —
-regardless of which cocycle represented them.  Products are computed by
-comparison lifts between resolutions; extension sequences convert to
-classes by lifting the identity, and degree-1 classes convert back via a
-pushout.
+Classes carry canonical quotient coordinates (the transposed kernel of the
+transpose, see linalg), so two classes are equal exactly when their
+coordinate vectors are — regardless of which cocycle represented them.
+One comparison lift, _lift_along, serves products (through a resolution),
+extension classes (through the sequence) and roofs.to_ext_class (through
+the apex); degree-1 classes convert back via a pushout.
 
 Resolutions use greedy-minimal generator picking: Nakayama-style through
 the radical when the algebra knows its radical, otherwise a greedy scan
@@ -38,10 +38,9 @@ from .linalg import (
     IncrementalSpan,
     Mat,
     _dot,
+    _kernel,
     hstack,
     kernel_basis,
-    quotient_coords,
-    random_mat,
     rank,
     solve,
     subquotient,
@@ -92,22 +91,24 @@ def eval_free_images(target: Module, images: Mat, vecs: Mat) -> Mat:
     return hom_from_free(target, images) @ vecs
 
 
-def minimal_generators(ambient: Module, basis: Mat) -> Mat:
+def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Mat:
     """Pick a small generating set for the submodule spanned by basis columns.
 
-    The span must already be action-stable.  With a known radical this is
-    exact minimality (images spanning span/rad*span generate, by Nakayama);
-    without one, a greedy scan over the basis plus a pair-merging pass.
+    The span must already be action-stable, and basis the identity on its
+    free rows, as _kernel's are.  With a known radical the pick is minimal
+    (Nakayama): the basis vectors at the non-pivots of rref(coords.T), for
+    the radical images' coordinates coords = hit[free].  Without one, a
+    greedy scan over the basis plus a pair-merging pass.
     """
     if basis.ncols == 0:
         return basis
     rad = ambient.algebra.radical
     if rad is not None:
-        coords = solve(basis, _radical_images(ambient, basis, rad))
-        if coords is None:
+        hit = _radical_images(ambient, basis, rad)
+        coords = hit.take_rows(free)
+        if basis @ coords != hit:
             raise InvariantError("radical did not preserve the span")
-        qc = quotient_coords(coords)
-        return basis.take_cols(qc.free)
+        return basis.take_cols(_kernel(coords.T)[1])
     return _greedy_generators(ambient, basis)
 
 
@@ -172,14 +173,14 @@ class Resolution:
 
     def __init__(self, target: Module):
         self.target = target
-        field = target.field
-        g0 = minimal_generators(target, Mat.identity(field, target.dim))
+        dim = target.dim
+        g0 = minimal_generators(target, Mat.identity(target.field, dim), tuple(range(dim)))
         self.gens: list[Mat] = [g0]
         self.ranks: list[int] = [g0.ncols]
         self.terms: list[Module] = [free_module(target.algebra, g0.ncols)]
         self._aug = hom_from_free(target, g0)
         self._maps: list[Mat] = []  # _maps[k-1] is the matrix of d_k
-        self._ker = kernel_basis(self._aug)
+        self._ker = _kernel(self._aug)  # (K, free) of the newest map
 
     @property
     def truncation(self) -> int:
@@ -196,13 +197,13 @@ class Resolution:
     def _extend_to(self, d: int) -> None:
         while self.truncation < d:
             prev = self.terms[-1]
-            g = minimal_generators(prev, self._ker)
+            g = minimal_generators(prev, *self._ker)
             self.gens.append(g)
             self.ranks.append(g.ncols)
             self.terms.append(free_module(self.target.algebra, g.ncols))
             dmat = hom_from_free(prev, g)
             self._maps.append(dmat)
-            self._ker = kernel_basis(dmat)
+            self._ker = _kernel(dmat)
 
     def __repr__(self):
         return f"Resolution(ranks={self.ranks})"
@@ -253,8 +254,8 @@ class _ExtSpace:
             delta_in = Mat.zeros(M.field, self.delta_out.ncols, 0)
         else:
             delta_in = _hom_delta(self.res, N, i - 1)
-        _, qc, self.include, self.project = subquotient(self.delta_out, delta_in)
-        self.dim = qc.dim
+        _, self.include, self.project = subquotient(self.delta_out, delta_in)
+        self.dim = self.include.ncols
 
     def key(self) -> tuple:
         return (self.M.key(), self.N.key(), self.i)
@@ -387,14 +388,19 @@ def lift_solve(matrix: Mat, rhs: Mat, rng: Random | None = None) -> Mat:
     With an rng, adds random kernel elements to the solution — the lift
     stays valid, which is exactly what well-definedness tests need.
     """
-    sol = solve(matrix, rhs)
+    sol = solve(matrix, rhs, rng)
     if sol is None:
         raise InvariantError("lift failed: right-hand side not in the image")
-    if rng is not None:
-        K = kernel_basis(matrix)
-        if K.ncols and sol.ncols:
-            sol = sol + K @ random_mat(rng, matrix.field, K.ncols, sol.ncols)
     return sol
+
+
+def _lift_along(res: Resolution, start: int, phi: Mat, steps, rng: Random | None = None) -> Mat:
+    """The comparison lift (Weibel, Thm 2.2.6) from phi = phi_0, through an
+    exact target whose t-th step is steps[t-1] = (C, d): phi_t solves
+    d phi_t = phi_(t-1) on res.gens[start+t], evaluated in C.  Returns the last."""
+    for t, (C, d) in enumerate(steps, 1):
+        phi = lift_solve(d, eval_free_images(C, phi, res.gens[start + t]), rng)
+    return phi
 
 
 def yoneda_product(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -412,13 +418,9 @@ def yoneda_product(a: ExtElement, b: ExtElement) -> ExtElement:
     res_m = free_resolution(M, i + j + 1)
     res_n = free_resolution(a.target, j)
     # F_0 : P_i(M) -> P_0(N) lifting a's images through the augmentation
-    cur = lift_solve(res_n._aug, a.images)
-    for t in range(1, j + 1):
-        rhs = eval_free_images(res_n.terms[t - 1], cur, res_m.gens[i + t])
-        cur = lift_solve(res_n._maps[t - 1], rhs)
-    c = eval_free_images(L, b.images, cur)
-    out = ext_element_from_images(M, L, i + j, c)
-    return out
+    cur = _lift_along(res_m, i, lift_solve(res_n._aug, a.images),
+                      zip(res_n.terms, res_n._maps[:j]))
+    return ext_element_from_images(M, L, i + j, eval_free_images(L, b.images, cur))
 
 
 # -- extension sequences -----------------------------------------------------
@@ -498,10 +500,8 @@ def class_of_extension(e: ExtensionSeq, rng: Random | None = None) -> ExtElement
     i = e.degree
     M, N = e.quotient, e.sub
     res = free_resolution(M, i + 1)
-    c = lift_solve(e.maps[i].matrix, res.gens[0], rng)
-    for t in range(1, i + 1):
-        rhs = eval_free_images(e.mods[i - t + 1], c, res.gens[t])
-        c = lift_solve(e.maps[i - t].matrix, rhs, rng)
+    steps = [(e.mods[i - t + 1], e.maps[i - t].matrix) for t in range(1, i + 1)]
+    c = _lift_along(res, 0, lift_solve(e.maps[i].matrix, res.gens[0], rng), steps, rng)
     chk = eval_free_images(N, c, res.gens[i + 1])
     if not chk.is_zero():
         raise InvariantError("lifted cocycle fails to vanish on the next syzygies")

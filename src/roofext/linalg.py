@@ -2,7 +2,9 @@
 
 Everything downstream (module theory, complexes, Ext groups, roofs) reduces
 to the handful of primitives in this file: reduced row echelon form, kernel
-bases, linear solves, and canonical coordinates on quotient spaces.
+bases and linear solves.  Canonical coordinates on a quotient space need
+no primitive of their own: the projection onto ambient/span(S) is K.T for
+K, free = _kernel(S.T), and the identity's free columns are its section.
 
 Coordinates in a canonical basis are read, not solved for: a kernel basis
 from _kernel is the identity on its free rows, so a kernel vector v has
@@ -28,15 +30,14 @@ column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
 without row swaps, and `rank` there only counts pivots, with no unpacking;
 larger primes use numpy.  Every Mat holds a read-only array in canonical
 form: `Mat(field, data)` reduces it, and results that are canonical by
-construction skip that through `Mat._of`.  Kernel bases and quotient
-projections hold negated entries, so they go through `Mat`.
+construction skip that through `Mat._of`.  Kernel bases hold negated
+entries, so they go through `Mat`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -56,8 +57,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "solve",
-    "quotient_coords",
-    "QuotientCoords",
     "subquotient",
     "IncrementalSpan",
     "random_mat",
@@ -613,13 +612,17 @@ def _kernel(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """(K, free): the columns of K are the canonical (RREF-derived) basis of
     the null space, and K is the identity on its free rows, the non-pivot
     columns of m.  So a vector v of the null space has coordinates v[free]."""
-    r, piv = rref(m)
+    return _null_basis(*rref(m), m.ncols)
+
+
+def _null_basis(r: Mat, piv: tuple[int, ...], n: int) -> tuple[Mat, tuple[int, ...]]:
+    """_kernel's (K, free) for the first n columns of an RREF r with pivots piv."""
     pivots = set(piv)
-    free = tuple(j for j in range(m.ncols) if j not in pivots)
-    out = m.field.zeros((m.ncols, len(free)))
+    free = tuple(j for j in range(n) if j not in pivots)
+    out = r.field.zeros((n, len(free)))
     out[list(free), range(len(free))] = 1
     out[list(piv), :] = -r.a[: len(piv), list(free)]  # negated: Mat reduces it
-    return Mat(m.field, out), free
+    return Mat(r.field, out), free
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -627,88 +630,46 @@ def kernel_basis(m: Mat) -> Mat:
     return _kernel(m)[0]
 
 
-def solve(m: Mat, b: Mat) -> Mat | None:
+def solve(m: Mat, b: Mat, rng: Random | None = None) -> Mat | None:
     """One exact solution of m @ x = b (free coordinates zero), or None.
 
     b may have several columns; None means at least one column is outside
-    the column space.
+    the column space.  An rng adds K @ random_mat(rng, ...) for m's kernel
+    basis K, read off the first columns of the same RREF of [m | b].
     """
     if m.field != b.field or m.nrows != b.nrows:
         raise ValueError("incompatible system")
-    aug = hstack([m, b])
-    r, piv = rref(aug)
+    r, piv = rref(hstack([m, b]))
     n = m.ncols
     if any(c >= n for c in piv):
         return None
     out = m.field.zeros((n, b.ncols))
-    for i, c in enumerate(piv):
-        out[c, :] = r.a[i, n:]
-    return Mat._of(m.field, out)
+    out[list(piv), :] = r.a[: len(piv), n:]
+    sol = Mat._of(m.field, out)
+    if rng is not None and len(piv) < n and b.ncols:
+        K, free = _null_basis(r, piv, n)
+        sol = sol + K @ random_mat(rng, m.field, len(free), b.ncols)
+    return sol
 
 
-@dataclass(frozen=True)
-class QuotientCoords:
-    """Canonical coordinates on ambient/span for a subspace.
-
-    proj kills exactly the subspace; section maps quotient coordinates to
-    ambient representatives (standard basis vectors at the free positions),
-    with proj @ section = identity.  reduced is the canonical reduced basis
-    of the subspace itself (rows).
-    """
-
-    proj: Mat
-    section: Mat
-    reduced: Mat
-    pivots: tuple[int, ...]
-    free: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.proj.nrows
-
-
-def quotient_coords(sub: Mat) -> QuotientCoords:
-    """Coordinates on ambient-space / span(columns of sub).
-
-    Canonical in the subspace (not the presented basis): everything is read
-    off the reduced row echelon form of the span.
-    """
-    n = sub.nrows
-    field = sub.field
-    red, piv = rref(sub.T)
-    r = len(piv)
-    free = tuple(j for j in range(n) if j not in set(piv))
-    section = field.zeros((n, len(free)))
-    section[list(free), range(len(free))] = 1
-    proj = section.T.copy()
-    proj[:, list(piv)] = -red.a[:r, list(free)].T  # negated: Mat reduces it
-    return QuotientCoords(
-        proj=Mat(field, proj),
-        section=Mat._of(field, section),
-        reduced=red.take_rows(range(r)),
-        pivots=piv,
-        free=free,
-    )
-
-
-def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, QuotientCoords, Mat, Mat]:
+def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, Mat, Mat]:
     """Canonical coordinates on ker(d_out) / im(d_in), for d_out @ d_in = 0.
 
-    Returns (Z, qc, include, project): Z is the canonical kernel basis of
-    d_out, qc the quotient coordinates of the coboundaries inside Z,
+    Returns (Z, include, project): Z is the canonical kernel basis of d_out,
     include maps class coordinates to representative cocycles, and project
     maps the ambient space to class coordinates, killing coboundaries, with
-    project @ include = identity.  Cocycle coordinates are Z's free rows, so
-    project is qc.proj on the free columns: it is fixed only on cocycles.
+    project @ include = identity.  Cocycle coordinates are Z's free rows,
+    read into class coordinates as quotient coordinates are (see the module
+    docstring), so project is fixed only on cocycles.
     """
     Z, free = _kernel(d_out)
     inz = d_in.take_rows(free)
     if Z @ inz != d_in:
         raise InvariantError("coboundaries escaped the cocycles")
-    qc = quotient_coords(inz)
-    project = d_out.field.zeros((qc.dim, Z.nrows))
-    project[:, list(free)] = qc.proj.a
-    return Z, qc, Z @ qc.section, Mat._of(d_out.field, project)
+    K, classes = _kernel(inz.T)
+    project = d_out.field.zeros((K.ncols, Z.nrows))
+    project[:, list(free)] = K.a.T
+    return Z, Z.take_cols(classes), Mat._of(d_out.field, project)
 
 
 class IncrementalSpan:

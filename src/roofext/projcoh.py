@@ -230,22 +230,24 @@ class _Parser:
             raise SchemaError(f"expected an integer in sheaf expression, got {tok!r}") from None
 
     def parse(self) -> SheafDescriptor:
+        node = self.product()
+        if self.peek() is not None:
+            raise SchemaError(f"trailing tokens in sheaf expression: {self.toks[self.pos:]}")
+        return node
+
+    def product(self) -> SheafDescriptor:
+        """factor ('*' factor)*: the top level, and the inside of dual(...) and push(...)."""
         node = self.factor()
         while self.peek() == "*":
             self.take("*")
             node = _tensor(node, self.factor())
-        if self.peek() is not None:
-            raise SchemaError(f"trailing tokens in sheaf expression: {self.toks[self.pos:]}")
         return node
 
     def factor(self) -> SheafDescriptor:
         tok = self.take()
         if tok == "dual":
             self.take("(")
-            inner = self.factor()
-            while self.peek() == "*":
-                self.take("*")
-                inner = _tensor(inner, self.factor())
+            inner = self.product()
             self.take(")")
             return _dual(inner)
         if tok == "push":
@@ -253,10 +255,7 @@ class _Parser:
                 raise SchemaError("push(...) lands on P3; use it with space P3")
             self.take("(")
             inner = _Parser("P1xP1", self.toks[self.pos:])
-            node = inner.factor()
-            while inner.peek() == "*":
-                inner.take("*")
-                node = _tensor(node, inner.factor())
+            node = inner.product()
             self.pos += inner.pos
             self.take(")")
             if node.kind != "biline":

@@ -9,8 +9,9 @@ up to an *explicit* homotopy that is asserted, not searched for.
 Equality of roofs between shifted single modules is decided through the
 Ext normal form: a roof M[0] -> N[k] determines a class in Ext^k(M, N) by
 lifting a free resolution of M through the s-leg (the comparison theorem,
-degreewise linear solves) and composing with g.  Canonical coordinates on
-the Ext group make the comparison exact.
+ext._lift_along, which the Yoneda product and extension classes share) and
+composing with g.  Canonical coordinates on the Ext group make the
+comparison exact.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import InvariantError, MiddleMismatchError, SchemaError, Unsupporte
 from .ext import (
     ExtElement,
     ExtensionSeq,
+    _lift_along,
     class_of_extension,
     eval_free_images,
     ext_element_from_images,
@@ -168,16 +170,12 @@ def to_ext_class(r: Roof, rng: Random | None = None) -> ExtElement:
     n = rr.target.obj(-k)
     z, s, g = rr.apex, rr.s, rr.g
     res = free_resolution(m, k + 1)
-    field = m.field
     # degree 0: land on cocycles of the apex that map onto the augmentation
-    s0 = s.comp(0).matrix
     d0 = z.diff(0).matrix
-    system = vstack([s0, d0])
-    rhs = vstack([res.gens[0], Mat.zeros(field, d0.nrows, res.ranks[0])])
-    phi = lift_solve(system, rhs, rng)
-    for t in range(1, k + 1):
-        w = eval_free_images(z.obj(-t + 1), phi, res.gens[t])
-        phi = lift_solve(z.diff(-t).matrix, w, rng)
+    system = vstack([s.comp(0).matrix, d0])
+    rhs = vstack([res.gens[0], Mat.zeros(m.field, d0.nrows, res.ranks[0])])
+    steps = [(z.obj(1 - t), z.diff(-t).matrix) for t in range(1, k + 1)]
+    phi = _lift_along(res, 0, lift_solve(system, rhs, rng), steps, rng)
     c = g.comp(-k).matrix @ phi
     if (k * (k - 1) // 2) % 2:
         c = c.scale(-1)

@@ -7,9 +7,10 @@ hom_space bases, one kernel computation and solved coordinates
 coordinates off free rows, so the two can be compared.
 
 quasi_iso_reference decides quasi-isomorphisms through canonical cohomology,
-and direct_sum_reference builds direct sums with block_diag and entrywise
-injections; both are the package's earlier constructions, kept as oracles
-for is_quasi_iso and direct_sum.
+direct_sum_reference builds direct sums with block_diag and entrywise
+injections, and hom_constraints_reference builds the Hom constraint matrix
+from Kronecker products; all three are the package's earlier constructions,
+kept as oracles for is_quasi_iso, direct_sum and _hom_matrix.
 """
 
 from dataclasses import dataclass
@@ -176,3 +177,18 @@ def direct_sum_reference(mods: list[Module]):
         projs.append(ModuleHom(amb, m, Mat(field, pi), check=False))
         off += m.dim
     return amb, injs, projs
+
+
+def hom_constraints_reference(source: Module, target: Module) -> Mat:
+    """The intertwining constraints on row-major vec(F), F: source -> target,
+    as stacked blocks A_i (x) I - I (x) B_i^T, two np.kron calls per algebra
+    basis vector."""
+    n, m = target.dim, source.dim
+    field = source.field
+    if n == 0 or m == 0:
+        return Mat.zeros(field, source.algebra.dim * n * m, n * m)
+    eye_m = Mat.identity(field, m).a
+    eye_n = Mat.identity(field, n).a
+    blocks = [np.kron(target.act_mat(i).a, eye_m) - np.kron(eye_n, source.act_mat(i).a.T)
+              for i in range(source.algebra.dim)]
+    return Mat(field, np.vstack(blocks))

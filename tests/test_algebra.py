@@ -1,6 +1,8 @@
 """Finite-dimensional algebras, modules, and the submodule calculus."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import roofext
-from helpers import coordinates_in_hom_basis, direct_sum_reference
+from helpers import coordinates_in_hom_basis, direct_sum_reference, hom_constraints_reference
 from roofext.algebra import (
     Algebra,
     Filtration,
@@ -33,7 +35,7 @@ from roofext.algebra import (
 from roofext.errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
 from roofext.ext import hom_from_free
 from roofext.instances import kx3_filtration, kx3_regular, kx3_simple, random_module
-from roofext.linalg import GF, QQ, Mat, hstack, random_mat, rank, rref, solve
+from roofext.linalg import GF, QQ, Mat, _kernel, hstack, random_mat, rank, rref, solve
 
 F2 = GF(2)
 F3 = GF(3)
@@ -285,6 +287,21 @@ def test_hom_matrix_coordinates_are_its_free_rows(field):
             assert coordinates_in_hom_basis(basis, hom.matrix) == coeffs
 
 
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_hom_matrix_matches_kron_reference(field):
+    """_hom_matrix is the canonical kernel of the Kronecker-product
+    constraints, zero-dimensional modules included."""
+    rng = Random(0x4B0)
+    for _ in range(8):
+        alg = random_bound_quiver_algebra(rng, field)
+        zero = Module(alg, action=[Mat.zeros(field, 0, 0)] * alg.dim)
+        mods = [free_module(alg, 1), random_module(rng, alg), random_module(rng, alg), zero]
+        for source in mods:
+            for target in mods:
+                cons = hom_constraints_reference(source, target)
+                assert _hom_matrix(source, target) == _kernel(cons)
+
+
 def test_hom_space_members_are_module_maps():
     amb = kx3_regular(F3)
     sub = submodule(amb, Mat(F3, [[0], [1], [0]]))  # (x)
@@ -396,6 +413,12 @@ shift = Mat(F3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # but x acts with x^2 != 0
 module = Module(alg, action=[Mat.identity(F3, 3), shift], check=False)
 submodule(module, Mat(F3, [[1], [0], [0]]))
 """,
+    "minimal-generators-unstable-basis": """
+from roofext.ext import minimal_generators
+from roofext.instances import kx3_regular
+from roofext.linalg import GF, Mat
+minimal_generators(kx3_regular(GF(3)), Mat(GF(3), [[1], [0], [0]]), (0,))  # x * 1 escapes
+""",
 }
 
 
@@ -410,6 +433,14 @@ def test_invariants_raise_under_python_O(name):
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "InvariantError 1", proc.stderr
+
+
+def test_every_exported_name_resolves():
+    """Each roofext module's __all__ names only what the module defines."""
+    for info in pkgutil.iter_modules(roofext.__path__):
+        module = importlib.import_module(f"roofext.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
 
 
 def test_direct_sum_identities():

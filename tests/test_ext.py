@@ -8,10 +8,12 @@ Ext^1 along each arrow, one-dimensional Ext^2 along the length-two path,
 and the product of the two arrow classes generates it.
 """
 
+import sys
 from random import Random
 
 import pytest
 
+from roofext import linalg
 from roofext.algebra import direct_sum, free_module, hom_space, random_bound_quiver_algebra
 from roofext.errors import MiddleMismatchError, TruncationError
 from roofext.ext import (
@@ -25,6 +27,7 @@ from roofext.ext import (
     extension_from_class,
     free_resolution,
     is_trivial,
+    lift_solve,
     splice,
     yoneda_product,
 )
@@ -99,6 +102,40 @@ def test_resolution_of_kx3_simple_is_periodic():
     k = kx3_simple(F3)
     res = free_resolution(k, 5)
     assert res.ranks[:6] == [1, 1, 1, 1, 1, 1]
+
+
+def _count_rref(monkeypatch) -> list:
+    """Route every roofext binding of linalg.rref through a counter; returns
+    the list of reduced shapes, which grows as rref is called."""
+    real, calls = linalg.rref, []
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("roofext") and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counted)
+    return calls
+
+
+def test_one_resolution_step_reduces_twice(monkeypatch):
+    """One rref picks the generators (on the radical coordinates read off
+    the kernel's free rows) and one gives the next kernel."""
+    s1, _, _ = ka3_simples(F3)
+    res = free_resolution(s1, 0)
+    calls = _count_rref(monkeypatch)
+    res._extend_to(1)
+    assert res.ranks[1] > 0 and len(calls) == 2
+
+
+def test_random_lift_reduces_once(monkeypatch):
+    """The random null-space part of a lift comes from the same reduction."""
+    e = ka3_first_step(F3)
+    gens = free_resolution(e.quotient, 1).gens[0]
+    calls = _count_rref(monkeypatch)
+    lifted = lift_solve(e.maps[1].matrix, gens, Random(5))
+    assert len(calls) == 1 and e.maps[1].matrix @ lifted == gens
 
 
 def test_resolution_grows_in_place():

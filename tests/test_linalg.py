@@ -29,7 +29,6 @@ from roofext.linalg import (
     field_from_name,
     hstack,
     kernel_basis,
-    quotient_coords,
     random_mat,
     rank,
     rref,
@@ -363,6 +362,24 @@ def test_solve_recovers_image_and_kernel_kills(field, r, c, entries):
     assert rank(a) + k.ncols == c
 
 
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_solve_with_rng_adds_a_random_null_vector(field):
+    """Given an rng, solve returns the zero-free solution plus the canonical
+    kernel basis times random_mat's draw, and takes exactly those draws."""
+    rng = Random(0x501E)
+    for _ in range(25):
+        a = random_mat(rng, field, rng.randint(0, 4), rng.randint(0, 5))
+        b = a @ random_mat(rng, field, a.ncols, rng.randint(0, 2))
+        seed = rng.getrandbits(32)
+        mine, ref = Random(seed), Random(seed)
+        got = solve(a, b, mine)
+        K, want = kernel_basis(a), solve(a, b)
+        if K.ncols and b.ncols:
+            want = want + K @ random_mat(ref, field, K.ncols, b.ncols)
+        assert got == want and a @ got == b
+        assert mine.getstate() == ref.getstate()
+
+
 def test_solve_none_when_inconsistent():
     a = _mat(QQ, [[1, 0], [1, 0]])
     b = _mat(QQ, [[1], [2]])
@@ -406,17 +423,20 @@ def test_block_matrix_matches_stacked_parts(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_quotient_coords_laws(field):
+    """Quotient coordinates by span(sub) are read off K, free = _kernel(sub.T):
+    K.T kills exactly the span, and the identity's free columns are a section."""
     sub = _mat(field, [[1, 0], [0, 1], [1, 1], [0, 0]])
-    q = quotient_coords(sub)
-    assert q.dim == 2  # 4 ambient - rank 2
-    assert (q.proj @ sub).is_zero()
-    assert q.proj @ q.section == Mat.identity(field, q.dim)
+    K, free = _kernel(sub.T)
+    proj, section = K.T, Mat.identity(field, 4).take_cols(free)
+    assert proj.nrows == 2  # 4 ambient - rank 2
+    assert (proj @ sub).is_zero()
+    assert proj @ section == Mat.identity(field, 2)
 
 
 def _check_subquotient(d_out, d_in, dim):
-    Z, qc, include, project = subquotient(d_out, d_in)
+    Z, include, project = subquotient(d_out, d_in)
     field = d_out.field
-    assert qc.dim == dim and include.shape == (d_out.ncols, dim)
+    assert include.shape == (d_out.ncols, dim)
     assert project.shape == (dim, d_out.ncols)
     assert (d_out @ Z).is_zero() and (d_out @ include).is_zero()
     assert project @ include == Mat.identity(field, dim)
@@ -460,8 +480,9 @@ def test_subquotient_on_cocycles_is_pinned(name):
         d_out = random_mat(rng, field, m, k)
         kb = kernel_basis(d_out)
         d_in = kb @ random_mat(rng, field, kb.ncols, rng.randint(0, 4))
-        Z, qc, include, project = subquotient(d_out, d_in)
-        assert project @ Z == qc.proj
+        Z, include, project = subquotient(d_out, d_in)
+        free = _kernel(d_out)[1]  # cocycle coordinates, then their quotient
+        assert project @ Z == _kernel(d_in.take_rows(free).T)[0].T
         cocycles = Z @ random_mat(rng, field, Z.ncols, 3)
         for r in (Z, include, project @ Z, project @ include, project @ cocycles):
             h.update(repr(r.key()).encode())
@@ -471,15 +492,15 @@ def test_subquotient_on_cocycles_is_pinned(name):
 @pytest.mark.parametrize("field", FIELDS)
 def test_subquotient_without_incoming_columns(field):
     d_out = _mat(field, [[1, 1, 0]])
-    Z, _, _, _ = subquotient(d_out, Mat.zeros(field, 3, 0))
+    Z, _, _ = subquotient(d_out, Mat.zeros(field, 3, 0))
     assert Z.ncols == 2
     _check_subquotient(d_out, Mat.zeros(field, 3, 0), 2)
 
 
 def test_quotient_of_full_space_is_zero():
-    q = quotient_coords(Mat.identity(QQ, 3))
-    assert q.dim == 0
-    assert q.proj.shape == (0, 3)
+    K, free = _kernel(Mat.identity(QQ, 3).T)
+    assert free == ()
+    assert K.T.shape == (0, 3)
 
 
 # -- canonical form -----------------------------------------------------------
@@ -507,14 +528,12 @@ def test_results_are_canonical_and_read_only(field):
             b = b.scale(Fraction(2, 3))
         kb = kernel_basis(a)
         d_in = kb @ random_mat(rng, field, kb.ncols, rng.randint(0, 3))
-        qc = quotient_coords(a)
-        Z, sq, include, project = subquotient(a, d_in)
+        Z, include, project = subquotient(a, d_in)
         results = [a @ b, a.T, a.col(k - 1), a.take_rows([m - 1, 0]),
                    a.take_cols(range(k)), hstack([a, a @ b]), vstack([a, b.T]),
-                   block_diag([a, b]), rref(a)[0], rref(b.T)[0], kb,
-                   solve(a, a @ b),
-                   qc.proj, qc.section, qc.reduced, Z, sq.proj, sq.section,
-                   include, project, Mat.zeros(field, m, n), Mat.identity(field, k)]
+                   block_diag([a, b]), rref(a)[0], rref(b.T)[0], kb, _kernel(a.T)[0].T,
+                   solve(a, a @ b), solve(a, a @ b, rng),
+                   Z, include, project, Mat.zeros(field, m, n), Mat.identity(field, k)]
         for r in results:
             _assert_canonical(r)
     algebra = random_bound_quiver_algebra(rng, field)

@@ -203,12 +203,16 @@ def test_parser_normalizes():
     assert parse_sheaf("P1xP1", "dual(O(3,3))").describe() == "O(-3,-3)"
     assert parse_sheaf("P1xP1", "O(1,2)(3)").describe() == "O(4,5)"
     assert parse_sheaf("P4", "Omega^4(5)").describe() == "Omega^4(5)"
+    assert parse_sheaf("P2", "dual(O(1) * O(2))").describe() == "O(-3)"
+    assert parse_sheaf("P3", "push(O(1,0) * O(0,1))(2)").describe() == "push(O(1,1))(2)"
 
 
 @pytest.mark.parametrize("space,text", [
     ("P3", "Omega^1 * Omega^1"),
     ("P3", "dual(Omega^1)"),
     ("P1xP1", "push(O(0,0))"),
+    ("P3", "push(O(1,0) * Omega^1)"),
+    ("P2", "dual(O(1) * O(2)"),
     ("P3", "O(1,2)"),
     ("P1xP1", "Omega^1"),
     ("P3", "Omega^5"),
