@@ -7,7 +7,8 @@ block-diagonal action of a large free module just to multiply by it.
 
 Every action is one block product: a module is r blocks of size a, and e_i
 acts on each block by the same a x a matrix M_i -- r = 1 and M_i = action[i]
-for an explicit module, a = dim A and M_i = left_mult(i) for a free one.
+for an explicit module, a = dim A and M_i = left_mult(i) = mult[i].T for a
+free one, whose stack is the transposed structure-constant table, reshaped.
 The law checks are block products too: one product tests the unit and one
 tests all n^2 relations M_i M_j = sum_k c_ijk M_k (see _law_failure); the
 algebra checks its own left regular representation the same way.
@@ -75,12 +76,13 @@ class Algebra:
     def __init__(self, field: Field, mult, unit, radical: Mat | None = None,
                  label: str = "", check: bool = True):
         self.field = field
-        arr = np.asarray(mult, dtype=object)
+        # an ndarray is reduced as it is; nested lists go through exact objects
+        arr = np.asarray(mult, dtype=getattr(mult, "dtype", object))
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[0] != arr.shape[2]:
             raise SchemaError(f"structure constants must be n*n*n, got {arr.shape}")
         self.dim = arr.shape[0]
         self.mult = field.reduce(arr)
-        u = field.reduce(np.asarray(unit, dtype=object).reshape(-1))
+        u = field.reduce(np.asarray(unit, dtype=getattr(unit, "dtype", object)).reshape(-1))
         if u.shape[0] != self.dim:
             raise SchemaError("unit vector length does not match algebra dimension")
         self.unit = u
@@ -185,10 +187,11 @@ class Module:
         if "blocks" not in self._cache:
             if self._action is None:
                 n = self.algebra.dim
-                mats, a, r = [self.algebra.left_mult(i) for i in range(n)], n, self.free_rank
+                stacked = self.algebra.mult.transpose(0, 2, 1).reshape(n * n, n)
+                self._cache["blocks"] = (n, self.free_rank, stacked)
             else:
-                mats, a, r = self._action, self.dim, 1
-            self._cache["blocks"] = (a, r, np.vstack([m.a for m in mats]))
+                stacked = np.vstack([m.a for m in self._action])
+                self._cache["blocks"] = (self.dim, 1, stacked)
         return self._cache["blocks"]
 
     def _apply(self, stacked: np.ndarray, k: int, vecs: Mat) -> Mat:
@@ -516,37 +519,27 @@ def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int
     """
     if nil_index not in (2, 3):
         raise ValueError("only radical-square-zero and radical-cube-zero supported")
-    paths: list[tuple[int, int, tuple[int, ...]]] = []  # (source, target, arrow indices)
-    for v in range(num_vertices):
-        paths.append((v, v, ()))
-    for k, (s, t) in enumerate(arrows):
-        paths.append((s, t, (k,)))
-    if nil_index == 3:
-        for k2, (s2, t2) in enumerate(arrows):
-            for k1, (s1, t1) in enumerate(arrows):
-                if t1 == s2:  # k1 then k2
-                    paths.append((s1, t2, (k1, k2)))
-    n = len(paths)
-    index = {p: i for i, p in enumerate(paths)}
-    mult = np.zeros((n, n, n), dtype=object)
-    for i, (ps, pt, pw) in enumerate(paths):
-        for j, (qs, qt, qw) in enumerate(paths):
-            # p * q = "q then p": needs target(q) = source(p)
-            if qt != ps:
-                continue
-            word = qw + pw
-            if len(word) >= nil_index:
-                continue
-            key = (qs, pt, word)
-            mult[i, j, index[key]] = 1
-    unit = np.zeros(n, dtype=object)
-    for v in range(num_vertices):
-        unit[index[(v, v, ())]] = 1
-    rad_cols = [i for i, p in enumerate(paths) if p[2]]
-    radical = Mat.zeros(field, n, len(rad_cols)).a.copy()
-    for c, i in enumerate(rad_cols):
-        radical[i, c] = 1
-    alg = Algebra(field, mult, unit, radical=Mat(field, radical),
+    if not all(0 <= v < num_vertices for arrow in arrows for v in arrow):
+        raise ValueError("arrows must join vertices of the quiver")
+    # paths as (source, target, arrow indices); the pair (k1, k2) is k1 then k2
+    paths = [(v, v, ()) for v in range(num_vertices)]
+    paths += [(s, t, (k,)) for k, (s, t) in enumerate(arrows)]
+    pairs = [(k1, k2) for k2, (s2, _) in enumerate(arrows)
+             for k1, (_, t1) in enumerate(arrows) if t1 == s2] if nil_index == 3 else []
+    paths += [(arrows[k1][0], arrows[k2][1], (k1, k2)) for k1, k2 in pairs]
+    n, nv = len(paths), num_vertices
+    # e_i e_j = e_k is entry (i*n + j)*n + k; the nonzero products, each 1, are
+    # e_t q = q for q ending at t, p e_s = p for p starting at s, and
+    # (arrow k2) * (arrow k1) = the path "k1 then k2"
+    ones = [(t * n + j) * n + j for j, (_, t, _) in enumerate(paths)]
+    ones += [(j * n + s) * n + j for j, (s, _, _) in enumerate(paths)]
+    ones += [((nv + k2) * n + nv + k1) * n + c
+             for c, (k1, k2) in enumerate(pairs, nv + len(arrows))]
+    mult = np.zeros(n**3, dtype=np.int64)
+    mult[ones] = 1
+    unit = np.repeat(np.array([1, 0], dtype=np.int64), [nv, n - nv])
+    alg = Algebra(field, mult.reshape(n, n, n), unit,
+                  radical=Mat(field, np.eye(n, n - nv, -nv, dtype=np.int64)),
                   label=label or f"kQ({num_vertices}v,{len(arrows)}a)/rad^{nil_index}",
                   check=False)
     alg.quiver = {"vertices": num_vertices, "arrows": list(arrows),

@@ -40,7 +40,6 @@ from .linalg import (
     _dot,
     _kernel,
     hstack,
-    kernel_basis,
     rank,
     solve,
     subquotient,
@@ -181,6 +180,7 @@ class Resolution:
         self._aug = hom_from_free(target, g0)
         self._maps: list[Mat] = []  # _maps[k-1] is the matrix of d_k
         self._ker = _kernel(self._aug)  # (K, free) of the newest map
+        self._syzygy = self._ker[0]  # the first syzygy, inside P_0
 
     @property
     def truncation(self) -> int:
@@ -516,7 +516,7 @@ def extension_from_class(a: ExtElement) -> ExtensionSeq:
     res = a.space.res
     field = M.field
     p0 = res.terms[0]
-    K = kernel_basis(res._aug)  # first syzygy inside P_0
+    K = res._syzygy
     pre = lift_solve(res._maps[0], K)
     cbar = eval_free_images(N, a.images, pre)  # value of the cocycle on the syzygy
     W, injs, _projs = direct_sum([N, p0])

@@ -7,15 +7,17 @@ whose simples carry the canonical nonzero degree-2 product.  The random
 generators draw small bound-quiver algebras, modules, filtrations,
 composable extension pairs, and bounded complexes; all of them are driven
 by an explicit Random instance so runs are reproducible from a seed.  The
-rejection samplers decide each draw by Nakayama's top test or by a rank,
-and build a module (closure, action, quotient, inclusion) only for a draw
-they keep.
+rejection samplers decide each draw by Nakayama's top test or by ranks read
+in regular-module coordinates (see _draw_module), and build a module
+(closure, action, quotient, inclusion) only for the draw they return.
 """
 
 from __future__ import annotations
 
 from random import Random
 from typing import Callable
+
+import numpy as np
 
 from .algebra import (
     Algebra,
@@ -33,9 +35,9 @@ from .algebra import (
     truncated_polynomial_algebra,
 )
 from .complexes import Complex
-from .errors import DegenerateFiltrationError
+from .errors import DegenerateFiltrationError, InvariantError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, block_diag, hstack, random_mat, rank
+from .linalg import QQ, Field, Mat, block_diag, hstack, pivots, random_mat, rank
 
 __all__ = [
     "kx3_regular",
@@ -128,57 +130,87 @@ def _generates_regular(algebra: Algebra, gens: Mat) -> bool:
     return bool((gens.a[: algebra.quiver["vertices"]] != 0).any(axis=1).all())
 
 
-def _draw_module(rng: Random, algebra: Algebra, max_dim: int = 4,
-                 tries: int = 64) -> tuple[int, Callable[[], Module]]:
-    """random_module's draw as (dimension, builder): generators whose action
-    images have rank n leave a quotient of dimension free.dim - n."""
+# a draw: (dimension, rank_of, builder), where rank_of(g) = dim A g in the module
+_Draw = tuple[int, Callable[[Mat], int], Callable[[], Module]]
+
+
+def _draw_module(rng: Random, algebra: Algebra, max_dim: int = 4, tries: int = 64) -> _Draw:
+    """random_module's draw, decided in the regular module F = A^1 before
+    anything is built.  Generators gens leave G = F / A gens; with
+    rows = F.act_all(gens).T of rank n, G has dimension F.dim - n, and the
+    pivots of rows are those of G's canonical closure basis, so the section
+    of submodule_quotient lifts g in G to g on the other rows, 0 on them, and
+    dim A g = rank [rows; F.act_all(lift g).T] - n."""
     free = free_module(algebra, 1)
     if free.dim <= max_dim and rng.random() < 0.2:
-        return free.dim, lambda: free
+        return _decided(free, lambda: free)
     for _ in range(tries):
         k = rng.randint(1, max(1, algebra.dim - 1))
         gens = random_mat(rng, algebra.field, free.dim, k)
         if algebra.quiver is not None and _generates_regular(algebra, gens):
             continue
-        n = rank(free.act_all(gens))
-        if n and 1 <= free.dim - n <= max_dim:
-            return free.dim - n, lambda: submodule_quotient(free, submodule(free, gens))[0]
+        rows = free.act_all(gens).T
+        piv = pivots(rows)
+        if piv and 1 <= free.dim - len(piv) <= max_dim:
+            return _decided(free, lambda: submodule_quotient(free, submodule(free, gens))[0],
+                            rows, piv)
     if algebra.quiver is not None:
         simple = quiver_simple(algebra, rng.randrange(algebra.quiver["vertices"]))
-        return simple.dim, lambda: simple
+        return _decided(simple, lambda: simple)
     raise RuntimeError("could not draw a small random module")
+
+
+def _decided(module: Module, make: Callable[[], Module], rows: Mat | None = None,
+             piv: tuple[int, ...] = ()) -> _Draw:
+    """The draw of G = module / span(rows.T), piv the pivots of rows; the
+    builder checks that make() gives a G of that dimension."""
+    dim, field = module.dim - len(piv), module.field
+    rest = sorted(set(range(module.dim)) - set(piv))
+
+    def rank_of(g: Mat) -> int:
+        lift = field.zeros((module.dim, g.ncols))
+        lift[rest] = g.a
+        hit = module.act_all(Mat._of(field, lift)).a.T
+        stack = hit if rows is None else np.vstack([rows.a, hit])
+        return rank(Mat._of(field, stack)) - len(piv)
+
+    def build() -> Module:
+        out = make()
+        if out.dim != dim:
+            raise InvariantError(f"a module decided at dimension {dim} was built at {out.dim}")
+        return out
+
+    return dim, rank_of, build
 
 
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
     """A random quotient of the regular module with 1 <= dim <= max_dim."""
-    return _draw_module(rng, algebra, max_dim, tries)[1]()
+    return _draw_module(rng, algebra, max_dim, tries)[2]()
 
 
 def random_filtration(rng: Random, field: Field, max_dim: int = 6,
                       tries: int = 400) -> Filtration:
     """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra.
 
-    F1 = A g1 and F2 = A [g1 | g2] are decided on their ranks, then built.
+    F1 = A g1 and F2 = A [g1 | g2] are decided on their ranks in regular-module
+    coordinates (see _draw_module); only the draw returned is built.
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        dim, build = _draw_module(rng, algebra, max_dim=max_dim)
+        dim, rank_of, build = _draw_module(rng, algebra, max_dim=max_dim)
         if dim < 3:
             continue
-        ambient = build()
         g1 = random_mat(rng, field, dim, 1)
-        r1 = rank(ambient.act_all(g1))
-        if not 1 <= r1 <= dim - 2:
+        if not 1 <= (r1 := rank_of(g1)) <= dim - 2:
             continue
         g12 = hstack([g1, random_mat(rng, field, dim, 1)])
-        if not r1 < rank(ambient.act_all(g12)) < dim:
+        if not r1 < (r12 := rank_of(g12)) < dim:
             continue
+        ambient = build()
         filt = Filtration(ambient, submodule(ambient, g1), submodule(ambient, g12))
-        try:
-            filt.check_nondegenerate()
-        except DegenerateFiltrationError:  # pragma: no cover - guarded above
-            continue
+        if (filt.f1.source.dim, filt.f2.source.dim) != (r1, r12):
+            raise InvariantError("a built filtration differs from the ranks it was decided on")
         return filt
     raise DegenerateFiltrationError(f"no nondegenerate filtration in {tries} tries")
 

@@ -27,11 +27,11 @@ the reduced form.
 
 Elimination over F2 and F3 runs on column-packed ints (F2: one int per
 column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
-without row swaps, and `rank` there only counts pivots, with no unpacking;
-larger primes use numpy.  Every Mat holds a read-only array in canonical
-form: `Mat(field, data)` reduces it, and results that are canonical by
-construction skip that through `Mat._of`.  Kernel bases hold negated
-entries, so they go through `Mat`.
+without row swaps, and `pivots` (so `rank`) there reads the pivot columns
+off the elimination, with no unpacking; larger primes use numpy.  Every Mat
+holds a read-only array in canonical form: `Mat(field, data)` reduces it,
+and results that are canonical by construction skip that through
+`Mat._of`.  Kernel bases hold negated entries, so they go through `Mat`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "Mat",
     "rref",
     "rank",
+    "pivots",
     "kernel_basis",
     "solve",
     "subquotient",
@@ -601,11 +602,15 @@ def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, piv
 
 
-def rank(m: Mat) -> int:
-    """Over F2 and F3 the packed elimination only counts its pivots."""
+def pivots(m: Mat) -> tuple[int, ...]:
+    """Pivot columns of m's RREF, read off the packed elimination over F2 and F3."""
     if m.field.char in _PACKED:
-        return len(_PACKED[m.field.char](m.a)[2])
-    return len(rref(m)[1])
+        return tuple(_PACKED[m.field.char](m.a)[2])
+    return rref(m)[1]
+
+
+def rank(m: Mat) -> int:
+    return len(pivots(m))
 
 
 def _kernel(m: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -8,9 +8,11 @@ coordinates off free rows, so the two can be compared.
 
 quasi_iso_reference decides quasi-isomorphisms through canonical cohomology,
 direct_sum_reference builds direct sums with block_diag and entrywise
-injections, and hom_constraints_reference builds the Hom constraint matrix
-from Kronecker products; all three are the package's earlier constructions,
-kept as oracles for is_quasi_iso, direct_sum and _hom_matrix.
+injections, hom_constraints_reference builds the Hom constraint matrix
+from Kronecker products, and bound_quiver_algebra_reference fills the
+structure constants of a bound quiver algebra path pair by path pair; all
+four are the package's earlier constructions, kept as oracles for
+is_quasi_iso, direct_sum, _hom_matrix and bound_quiver_algebra.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from random import Random
 
 import numpy as np
 
-from roofext.algebra import Module, ModuleHom, hom_space
+from roofext.algebra import Algebra, Module, ModuleHom, hom_space
 from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
 from roofext.linalg import Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve
 
@@ -192,3 +194,32 @@ def hom_constraints_reference(source: Module, target: Module) -> Mat:
     blocks = [np.kron(target.act_mat(i).a, eye_m) - np.kron(eye_n, source.act_mat(i).a.T)
               for i in range(source.algebra.dim)]
     return Mat(field, np.vstack(blocks))
+
+
+def bound_quiver_algebra_reference(field, num_vertices: int, arrows: list[tuple[int, int]],
+                                   nil_index: int = 2) -> Algebra:
+    """kQ / (paths of length >= nil_index), with p * q ("q then p") looked up
+    for every pair of paths in an object table."""
+    paths = [(v, v, ()) for v in range(num_vertices)]
+    paths += [(s, t, (k,)) for k, (s, t) in enumerate(arrows)]
+    if nil_index == 3:
+        paths += [(s1, t2, (k1, k2)) for k2, (s2, t2) in enumerate(arrows)
+                  for k1, (s1, t1) in enumerate(arrows) if t1 == s2]
+    n = len(paths)
+    index = {p: i for i, p in enumerate(paths)}
+    mult = np.zeros((n, n, n), dtype=object)
+    for i, (ps, pt, pw) in enumerate(paths):
+        for j, (qs, qt, qw) in enumerate(paths):
+            if qt == ps and len(qw + pw) < nil_index:
+                mult[i, j, index[(qs, pt, qw + pw)]] = 1
+    unit = np.zeros(n, dtype=object)
+    unit[:num_vertices] = 1
+    rad_cols = [i for i, p in enumerate(paths) if p[2]]
+    radical = Mat.zeros(field, n, len(rad_cols)).a.copy()
+    for c, i in enumerate(rad_cols):
+        radical[i, c] = 1
+    alg = Algebra(field, mult, unit, radical=Mat(field, radical),
+                  label=f"kQ({num_vertices}v,{len(arrows)}a)/rad^{nil_index}", check=False)
+    alg.quiver = {"vertices": num_vertices, "arrows": list(arrows),
+                  "nil_index": nil_index, "paths": paths}
+    return alg

@@ -1,6 +1,7 @@
 """Finite-dimensional algebras, modules, and the submodule calculus."""
 
 import importlib
+import itertools
 import os
 import pkgutil
 import subprocess
@@ -13,7 +14,12 @@ import numpy as np
 import pytest
 
 import roofext
-from helpers import coordinates_in_hom_basis, direct_sum_reference, hom_constraints_reference
+from helpers import (
+    bound_quiver_algebra_reference,
+    coordinates_in_hom_basis,
+    direct_sum_reference,
+    hom_constraints_reference,
+)
 from roofext.algebra import (
     Algebra,
     Filtration,
@@ -157,6 +163,29 @@ def test_quiver_algebra_composition_rule():
     assert three.dim == 6
     assert list(three.mult[a12, a01]) == [0, 0, 0, 0, 0, 1]  # "0->1 then 1->2"
     assert not any(three.mult[a01, a12])
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
+def test_quiver_algebra_matches_path_pair_reference(field):
+    """Every quiver with 2-3 vertices and 1-3 arrows, bound at length 2 and 3:
+    the structure constants, unit, radical, quiver data and label are those
+    of the path-pair-by-path-pair construction."""
+    for nv in (2, 3):
+        edges = [(s, t) for s in range(nv) for t in range(nv)]
+        for na in (1, 2, 3):
+            for arrows in itertools.product(edges, repeat=na):
+                for nil in (2, 3):
+                    alg = bound_quiver_algebra(field, nv, list(arrows), nil)
+                    ref = bound_quiver_algebra_reference(field, nv, list(arrows), nil)
+                    assert alg.key() == ref.key()
+                    assert (alg.mult.dtype, alg.unit.dtype) == (ref.mult.dtype, ref.unit.dtype)
+                    assert alg.radical == ref.radical and alg.quiver == ref.quiver
+                    assert alg.label == ref.label
+
+
+def test_quiver_algebra_rejects_arrows_off_the_quiver():
+    with pytest.raises(ValueError, match="join vertices"):
+        bound_quiver_algebra(F2, 2, [(0, 2)])
 
 
 def test_random_quiver_algebras_are_associative(rng):
@@ -418,6 +447,14 @@ from roofext.ext import minimal_generators
 from roofext.instances import kx3_regular
 from roofext.linalg import GF, Mat
 minimal_generators(kx3_regular(GF(3)), Mat(GF(3), [[1], [0], [0]]), (0,))  # x * 1 escapes
+""",
+    "filtration-built-off-its-ranks": """
+from random import Random
+import roofext.instances as instances
+from roofext.linalg import GF
+real = instances.submodule
+instances.submodule = lambda m, g: real(m, g.take_cols([0]))  # F2 built without g2
+instances.random_filtration(Random(0xD1A5), GF(2))
 """,
 }
 

@@ -256,12 +256,26 @@ def test_fixture_json_output_is_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _random_lemma_digest(capsys, name, count):
+    rc, out = run(capsys, ["lemma-check", "--random", "0xBEEF", count, "--field", name, "--json"])
+    assert rc == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_random_q_lemma_output_is_pinned(capsys):
     """Ext coordinates of seeded random instances over Q, by digest."""
-    rc, out = run(capsys, ["lemma-check", "--random", "0xBEEF", "3", "--field", "q", "--json"])
-    assert rc == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
+    assert (_random_lemma_digest(capsys, "q", "3")
             == "d08bcaecfea56208bf9bc2c719bb1cab732a9c60d8f67a5f4098640231d3e4d2")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("f2", "75cf4c8addc3479e945876e1ff3225392fe99f7d97e3f83bc3ca46ec93eb72c4"),
+    ("f3", "5b9b09ab1539eaf24bc59805721e8032b320a0b7382aa938a759203fedb9cd38"),
+])
+def test_random_fp_lemma_output_is_pinned(capsys, name, digest):
+    """The same over F2 and F3, on forty filtrations: the sampler's draws
+    through the CLI."""
+    assert _random_lemma_digest(capsys, name, "40") == digest
 
 
 # -- internal errors ----------------------------------------------------------------

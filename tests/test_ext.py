@@ -138,6 +138,18 @@ def test_random_lift_reduces_once(monkeypatch):
     assert len(calls) == 1 and e.maps[1].matrix @ lifted == gens
 
 
+def test_extension_from_class_reads_the_first_syzygy(monkeypatch):
+    """The first syzygy is the resolution's, not a fresh kernel of the
+    augmentation: lift, closure and quotient reduce once each."""
+    e1, _ = random_ses_pair(Random(4), GF(3))
+    a = class_of_extension(e1)
+    calls = _count_rref(monkeypatch)
+    e = extension_from_class(a)
+    assert len(calls) == 3
+    assert a.space.res._syzygy == linalg.kernel_basis(a.space.res._aug)
+    assert class_of_extension(e) == a
+
+
 def test_resolution_grows_in_place():
     k = kx3_simple(F2)
     r1 = free_resolution(k, 1)

@@ -8,7 +8,7 @@ import pytest
 import roofext.instances as instances
 from roofext.algebra import _closure, free_module, random_bound_quiver_algebra
 from roofext.complexes import cohomology
-from roofext.errors import DegenerateFiltrationError
+from roofext.errors import DegenerateFiltrationError, InvariantError
 from roofext.ext import class_of_extension
 from roofext.jsonio import complex_to_json, dump_canonical, extension_to_json, filtration_to_json
 from roofext.instances import (
@@ -27,7 +27,7 @@ from roofext.instances import (
     random_ses_triple,
     sum_complexes,
 )
-from roofext.linalg import GF, QQ, Mat, field_from_name, random_mat
+from roofext.linalg import GF, QQ, Mat, field_from_name, random_mat, rank
 
 F2 = field_from_name("f2")
 F3 = field_from_name("f3")
@@ -263,3 +263,50 @@ def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
     docs = _seeded_draws("filtration", field_from_name(name))
     assert len(subs) == 2 * len(docs) + len(quotient_dims)
     assert all(dim >= 3 for dim in quotient_dims)
+    assert len(quotient_dims) <= len(docs)
+
+
+def test_filtration_sampler_checks_what_it_built(monkeypatch):
+    # A submodule that drops g2 builds F2 = F1, against the ranks decided.
+    real = instances.submodule
+    monkeypatch.setattr(instances, "submodule", lambda m, g: real(m, g.take_cols([0])))
+    with pytest.raises(InvariantError, match="differs from the ranks"):
+        random_filtration(Random(0xD1A5), F2)
+
+
+def test_module_builder_checks_its_dimension(monkeypatch):
+    # A quotient by nothing is the free module, not the decided quotient.
+    monkeypatch.setattr(instances, "submodule_quotient", lambda m, incl: (m, None, None))
+    rng = Random(0xD1A5)
+    with pytest.raises(InvariantError, match="was built at"):
+        for _ in range(40):
+            random_module(rng, random_bound_quiver_algebra(rng, F3))
+
+
+def _branch(module):
+    if module.is_free:
+        return "free"
+    return "simple" if module.label.startswith("S") else "quotient"
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["F2", "F3", "F5", "QQ"])
+def test_decided_rank_is_the_built_rank(field):
+    """rank_of(g), read in regular-module coordinates, is the rank of A g in
+    the module the draw builds."""
+    rng = Random(0xDEC1DE)
+    branches, outcomes = set(), set()
+    for t in range(40):
+        algebra = random_bound_quiver_algebra(rng, field)
+        # tries=0 skips the quotient draws: the free draw or the simple fallback
+        dim, rank_of, build = instances._draw_module(rng, algebra, 6, 64 if t % 4 else 0)
+        module = build()
+        branches.add(_branch(module))
+        for cols in (1, 2):
+            g = random_mat(rng, field, dim, cols).a.copy()
+            g[[rng.random() < 0.5 for _ in range(dim)]] = 0  # not always a generator
+            g = Mat(field, g)
+            r = rank_of(g)
+            assert r == rank(module.act_all(g)) == _closure(module, g)[0].ncols
+            outcomes.add(1 <= r <= dim - 2)
+    assert branches == {"free", "simple", "quotient"}
+    assert outcomes == {True, False}
