@@ -1,8 +1,11 @@
 """Truncated free resolutions, Ext groups, and the Yoneda product.
 
 Ext^i(M, N) is computed as cocycles modulo coboundaries of the complex
-Hom(P_•, N) for a truncated free resolution P_• of M.  A hom out of a free
-module is just a choice of generator images, so cochain spaces are
+Hom(P_•, N) for a free resolution P_• of M truncated at degree i: the
+coboundaries come from d_i, and a cocycle is a hom P_i -> N vanishing on
+ker d_i = im d_(i+1), so the syzygy basis of ker d_i that the resolution
+computes anyway stands in for P_(i+1) (Weibel, §2.4-2.5).  A hom out of a
+free module is just a choice of generator images, so cochain spaces are
 coordinatized by stacked image vectors and every lift in sight is a plain
 linear solve.
 
@@ -40,6 +43,7 @@ from .linalg import (
     _dot,
     _kernel,
     hstack,
+    pivots,
     rank,
     solve,
     subquotient,
@@ -95,9 +99,9 @@ def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Ma
 
     The span must already be action-stable, and basis the identity on its
     free rows, as _kernel's are.  With a known radical the pick is minimal
-    (Nakayama): the basis vectors at the non-pivots of rref(coords.T), for
-    the radical images' coordinates coords = hit[free].  Without one, a
-    greedy scan over the basis plus a pair-merging pass.
+    (Nakayama): the basis vectors at the non-pivots of coords.T, for the
+    radical images' coordinates coords = hit[free].  Without one, a greedy
+    scan over the basis plus a pair-merging pass.
     """
     if basis.ncols == 0:
         return basis
@@ -107,7 +111,8 @@ def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Ma
         coords = hit.take_rows(free)
         if basis @ coords != hit:
             raise InvariantError("radical did not preserve the span")
-        return basis.take_cols(_kernel(coords.T)[1])
+        piv = set(pivots(coords.T))
+        return basis.take_cols([j for j in range(basis.ncols) if j not in piv])
     return _greedy_generators(ambient, basis)
 
 
@@ -167,7 +172,9 @@ class Resolution:
     Grows monotonically: extending the truncation appends terms without
     touching the ones already computed, so shared cached instances are safe.
     gens[0] holds generator images in the target; gens[k] (k >= 1) are the
-    k-th syzygy generators inside P_(k-1).
+    k-th syzygy generators inside P_(k-1).  _kers[k] = (K, free) is the
+    canonical kernel of d_k (d_0 the augmentation), so the columns of K
+    span the syzygies inside P_k, and gens[k+1] is picked from them.
     """
 
     def __init__(self, target: Module):
@@ -179,8 +186,7 @@ class Resolution:
         self.terms: list[Module] = [free_module(target.algebra, g0.ncols)]
         self._aug = hom_from_free(target, g0)
         self._maps: list[Mat] = []  # _maps[k-1] is the matrix of d_k
-        self._ker = _kernel(self._aug)  # (K, free) of the newest map
-        self._syzygy = self._ker[0]  # the first syzygy, inside P_0
+        self._kers = [_kernel(self._aug)]
 
     @property
     def truncation(self) -> int:
@@ -197,13 +203,13 @@ class Resolution:
     def _extend_to(self, d: int) -> None:
         while self.truncation < d:
             prev = self.terms[-1]
-            g = minimal_generators(prev, *self._ker)
+            g = minimal_generators(prev, *self._kers[-1])
             self.gens.append(g)
             self.ranks.append(g.ncols)
             self.terms.append(free_module(self.target.algebra, g.ncols))
             dmat = hom_from_free(prev, g)
             self._maps.append(dmat)
-            self._ker = _kernel(dmat)
+            self._kers.append(_kernel(dmat))
 
     def __repr__(self):
         return f"Resolution(ranks={self.ranks})"
@@ -212,6 +218,7 @@ class Resolution:
 def free_resolution(M: Module, d: int) -> Resolution:
     """Free resolution of M truncated to degree >= d.
 
+    It holds P_0..P_d and the syzygies ker d_d, which is all Ext^d needs.
     Cached on the module, without a lock: roofext is not thread-safe, so do
     not share modules or complexes across threads.
     """
@@ -227,29 +234,33 @@ def free_resolution(M: Module, d: int) -> Resolution:
 # -- Ext spaces --------------------------------------------------------------
 
 
-def _hom_delta(res: Resolution, N: Module, k: int) -> Mat:
-    """Differential Hom(P_k, N) -> Hom(P_(k+1), N), i.e. precompose with d.
+def _hom_delta(res: Resolution, N: Module, k: int, g: Mat | None = None) -> Mat:
+    """Evaluation Hom(P_k, N) -> N^c on the c columns of g, vectors of P_k.
 
-    Block (u, t) is sum_s g[t*a + s, u] N_s for the syzygy generators g of
-    P_(k+1) and N's action matrices N_s: one product of the coefficients,
-    shaped (rk1*rk) x a, with the flattened N_s, shaped a x nn^2.
+    g defaults to the syzygy generators gens[k+1], which gives the
+    differential Hom(P_k, N) -> Hom(P_(k+1), N).  Block (u, t) is
+    sum_s g[t*a + s, u] N_s for N's action matrices N_s: one product of the
+    coefficients, shaped (c*rk) x a, with the flattened N_s, shaped a x nn^2.
     """
     field, nn, a = N.field, N.dim, N.algebra.dim
-    rk, rk1 = res.ranks[k], res.ranks[k + 1]
-    coeffs = res.gens[k + 1].a.T.reshape(rk1 * rk, a)
+    if g is None:
+        g = res.gens[k + 1]
+    rk, c = res.ranks[k], g.ncols
+    coeffs = g.a.T.reshape(c * rk, a)
     hit = N.act_all(Mat.identity(field, nn)).a  # [N_0 | N_1 | ...]
     acts = hit.reshape(nn, a, nn).transpose(1, 0, 2).reshape(a, nn * nn)
-    out = _dot(field, coeffs, acts).reshape(rk1, rk, nn, nn).transpose(0, 2, 1, 3)
-    return Mat(field, out.reshape(rk1 * nn, rk * nn))
+    out = _dot(field, coeffs, acts).reshape(c, rk, nn, nn).transpose(0, 2, 1, 3)
+    return Mat(field, out.reshape(c * nn, rk * nn))
 
 
 class _ExtSpace:
-    """Ext^i(M, N) with canonical cocycle/class coordinate maps."""
+    """Ext^i(M, N) with canonical cocycle/class coordinate maps; delta_out
+    evaluates cochains on the syzygy basis of ker d_i (see the module docstring)."""
 
     def __init__(self, M: Module, N: Module, i: int):
         self.M, self.N, self.i = M, N, i
-        self.res = free_resolution(M, i + 1)
-        self.delta_out = _hom_delta(self.res, N, i)
+        self.res = free_resolution(M, i)
+        self.delta_out = _hom_delta(self.res, N, i, self.res._kers[i][0])
         if i == 0:
             delta_in = Mat.zeros(M.field, self.delta_out.ncols, 0)
         else:
@@ -352,16 +363,17 @@ def ext_element_from_images(M: Module, N: Module, i: int, images: Mat) -> ExtEle
 
 def ext0_from_hom(h: ModuleHom) -> ExtElement:
     """The Ext^0 class of a module homomorphism (h composed with the augmentation)."""
-    res = free_resolution(h.source, 1)
+    res = free_resolution(h.source, 0)
     return ext_element_from_images(h.source, h.target, 0, h.matrix @ res.gens[0])
 
 
 def ext_group(M: Module, N: Module, i: int, truncate: int | None = None):
     """Dimension and basis of Ext^i(M, N).
 
-    truncate caps the resolution length; degree i needs at least i+1, and
-    asking for more Ext than the cap allows raises TruncationError instead
-    of silently truncating.
+    The resolution is computed through P_i and the syzygies ker d_i.
+    truncate caps the resolution length; degree i needs at least i+1,
+    because ker d_i stands in for P_(i+1), and asking for more Ext than the
+    cap allows raises TruncationError instead of silently truncating.
     """
     if i < 0:
         raise ValueError("Ext degree must be nonnegative")
@@ -415,7 +427,7 @@ def yoneda_product(a: ExtElement, b: ExtElement) -> ExtElement:
             f"second starts at {b.source!r}")
     M, L = a.source, b.target
     i, j = a.degree, b.degree
-    res_m = free_resolution(M, i + j + 1)
+    res_m = free_resolution(M, i + j)
     res_n = free_resolution(a.target, j)
     # F_0 : P_i(M) -> P_0(N) lifting a's images through the augmentation
     cur = _lift_along(res_m, i, lift_solve(res_n._aug, a.images),
@@ -499,10 +511,10 @@ def class_of_extension(e: ExtensionSeq, rng: Random | None = None) -> ExtElement
     """
     i = e.degree
     M, N = e.quotient, e.sub
-    res = free_resolution(M, i + 1)
+    res = free_resolution(M, i)
     steps = [(e.mods[i - t + 1], e.maps[i - t].matrix) for t in range(1, i + 1)]
     c = _lift_along(res, 0, lift_solve(e.maps[i].matrix, res.gens[0], rng), steps, rng)
-    chk = eval_free_images(N, c, res.gens[i + 1])
+    chk = eval_free_images(N, c, res._kers[i][0])
     if not chk.is_zero():
         raise InvariantError("lifted cocycle fails to vanish on the next syzygies")
     return ext_element_from_images(M, N, i, c)
@@ -516,7 +528,7 @@ def extension_from_class(a: ExtElement) -> ExtensionSeq:
     res = a.space.res
     field = M.field
     p0 = res.terms[0]
-    K = res._syzygy
+    K = res._kers[0][0]
     pre = lift_solve(res._maps[0], K)
     cbar = eval_free_images(N, a.images, pre)  # value of the cocycle on the syzygy
     W, injs, _projs = direct_sum([N, p0])

@@ -169,7 +169,7 @@ def to_ext_class(r: Roof, rng: Random | None = None) -> ExtElement:
     m = rr.source.obj(0)
     n = rr.target.obj(-k)
     z, s, g = rr.apex, rr.s, rr.g
-    res = free_resolution(m, k + 1)
+    res = free_resolution(m, k)
     # degree 0: land on cocycles of the apex that map onto the augmentation
     d0 = z.diff(0).matrix
     system = vstack([s.comp(0).matrix, d0])
@@ -179,7 +179,7 @@ def to_ext_class(r: Roof, rng: Random | None = None) -> ExtElement:
     c = g.comp(-k).matrix @ phi
     if (k * (k - 1) // 2) % 2:
         c = c.scale(-1)
-    chk = eval_free_images(n, c, res.gens[k + 1])
+    chk = eval_free_images(n, c, res._kers[k][0])
     if not chk.is_zero():
         raise InvariantError("roof cocycle fails to vanish on the next syzygies")
     return ext_element_from_images(m, n, k, c)

@@ -10,9 +10,11 @@ quasi_iso_reference decides quasi-isomorphisms through canonical cohomology,
 direct_sum_reference builds direct sums with block_diag and entrywise
 injections, hom_constraints_reference builds the Hom constraint matrix
 from Kronecker products, and bound_quiver_algebra_reference fills the
-structure constants of a bound quiver algebra path pair by path pair; all
-four are the package's earlier constructions, kept as oracles for
-is_quasi_iso, direct_sum, _hom_matrix and bound_quiver_algebra.
+structure constants of a bound quiver algebra path pair by path pair, and
+ext_space_reference cuts the Ext^i cocycles out with the generators of
+P_(i+1) of a resolution extended one degree further; all five are the
+package's earlier constructions, kept as oracles for is_quasi_iso,
+direct_sum, _hom_matrix, bound_quiver_algebra and ext._ExtSpace.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,9 @@ import numpy as np
 
 from roofext.algebra import Algebra, Module, ModuleHom, hom_space
 from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
-from roofext.linalg import Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve
+from roofext.ext import Resolution, _hom_delta
+from roofext.linalg import (
+    Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve, subquotient)
 
 
 def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
@@ -223,3 +227,17 @@ def bound_quiver_algebra_reference(field, num_vertices: int, arrows: list[tuple[
     alg.quiver = {"vertices": num_vertices, "arrows": list(arrows),
                   "nil_index": nil_index, "paths": paths}
     return alg
+
+
+def ext_space_reference(M: Module, N: Module, i: int) -> tuple[Mat, Mat]:
+    """(include, project) of Ext^i(M, N) from a fresh resolution extended to
+    degree i+1, whose cocycles vanish on the generators gens[i+1] of P_(i+1)."""
+    res = Resolution(M)
+    res._extend_to(i + 1)
+    delta_out = _hom_delta(res, N, i)
+    if i == 0:
+        delta_in = Mat.zeros(M.field, delta_out.ncols, 0)
+    else:
+        delta_in = _hom_delta(res, N, i - 1)
+    _, include, project = subquotient(delta_out, delta_in)
+    return include, project

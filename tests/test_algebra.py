@@ -456,6 +456,17 @@ real = instances.submodule
 instances.submodule = lambda m, g: real(m, g.take_cols([0]))  # F2 built without g2
 instances.random_filtration(Random(0xD1A5), GF(2))
 """,
+    "extension-class-off-the-syzygies": """
+import roofext.ext as ext
+from roofext.instances import ka3_first_step
+from roofext.linalg import GF, Mat
+real = ext._lift_along
+def shifted(*args):  # a lift off by the all-ones images
+    c = real(*args)
+    return c + Mat(c.field, [[1] * c.ncols] * c.nrows)
+ext._lift_along = shifted
+ext.class_of_extension(ka3_first_step(GF(3)))
+""",
 }
 
 

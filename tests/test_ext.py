@@ -12,6 +12,7 @@ import sys
 from random import Random
 
 import pytest
+from helpers import ext_space_reference
 
 from roofext import linalg
 from roofext.algebra import direct_sum, free_module, hom_space, random_bound_quiver_algebra
@@ -19,6 +20,7 @@ from roofext.errors import MiddleMismatchError, TruncationError
 from roofext.ext import (
     SPLICE_PRODUCT_SIGN,
     ExtensionSeq,
+    _ext_space,
     _hom_delta,
     _radical_images,
     class_of_extension,
@@ -37,11 +39,13 @@ from roofext.instances import (
     ka3_simples,
     kx3_regular,
     kx3_simple,
+    random_filtration,
     random_module,
     random_ses_pair,
     random_ses_triple,
 )
 from roofext.linalg import GF, QQ, Mat, hstack, random_mat, vstack
+from roofext.roofs import filtration_two_class
 
 F2 = GF(2)
 F3 = GF(3)
@@ -66,22 +70,22 @@ def _combine(field, coeffs, mats, n):
     return out
 
 
-def _reference_hom_delta(res, N, k):
+def _reference_hom_delta(res, N, k, g):
     """Block by block: block (u, t) is sum_s g[t*a + s, u] act_mat(s)."""
     field, nn, a = N.field, N.dim, N.algebra.dim
     mats = [N.act_mat(s) for s in range(a)]
-    g = res.gens[k + 1].a
     rows = [hstack([Mat.zeros(field, nn, 0)]
-                   + [_combine(field, g[t * a : (t + 1) * a, u], mats, nn)
+                   + [_combine(field, g.a[t * a : (t + 1) * a, u], mats, nn)
                       for t in range(res.ranks[k])])
-            for u in range(res.ranks[k + 1])]
+            for u in range(g.ncols)]
     return vstack([Mat.zeros(field, 0, res.ranks[k] * nn)] + rows)
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["f2", "f3", "q"])
 def test_block_products_match_per_block_references(field):
-    """_hom_delta and the radical images against loops over act_mat, on
-    free modules of rank 0-2 and on explicit modules."""
+    """_hom_delta, on the next generators and on the syzygy basis, and the
+    radical images against loops over act_mat, on free modules of rank 0-2
+    and on explicit modules."""
     rng = Random(0xDE17A)
     for _ in range(5):
         alg = random_bound_quiver_algebra(rng, field)
@@ -89,7 +93,10 @@ def test_block_products_match_per_block_references(field):
         rad = alg.radical
         for N in (*(free_module(alg, r) for r in range(3)), random_module(rng, alg)):
             for k in range(2):
-                assert _hom_delta(res, N, k) == _reference_hom_delta(res, N, k)
+                assert _hom_delta(res, N, k) == _reference_hom_delta(res, N, k, res.gens[k + 1])
+            for k in range(3):
+                K = res._kers[k][0]
+                assert _hom_delta(res, N, k, K) == _reference_hom_delta(res, N, k, K)
             basis = random_mat(rng, field, N.dim, rng.randint(1, 3))
             mats = [N.act_mat(s) for s in range(alg.dim)]
             expected = [_combine(field, rad.a[:, j], mats, N.dim) @ basis
@@ -104,27 +111,34 @@ def test_resolution_of_kx3_simple_is_periodic():
     assert res.ranks[:6] == [1, 1, 1, 1, 1, 1]
 
 
-def _count_rref(monkeypatch) -> list:
-    """Route every roofext binding of linalg.rref through a counter; returns
-    the list of reduced shapes, which grows as rref is called."""
-    real, calls = linalg.rref, []
+def _count_eliminations(monkeypatch, names=("rref",)) -> list:
+    """Route every roofext binding of the named linalg eliminations through
+    a counter; returns the list of reduced shapes, which grows as they are
+    called.  Count pivots only over F2/F3, where it does not call rref."""
+    calls = []
 
-    def counted(m):
-        calls.append(m.shape)
-        return real(m)
+    def counter(real):
+        def counted(m):
+            calls.append(m.shape)
+            return real(m)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("roofext") and getattr(module, "rref", None) is real:
-            monkeypatch.setattr(module, "rref", counted)
+    for fn in names:
+        real = getattr(linalg, fn)
+        counted = counter(real)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("roofext") and getattr(module, fn, None) is real:
+                monkeypatch.setattr(module, fn, counted)
     return calls
 
 
 def test_one_resolution_step_reduces_twice(monkeypatch):
-    """One rref picks the generators (on the radical coordinates read off
-    the kernel's free rows) and one gives the next kernel."""
+    """One elimination picks the generators (the pivots of the radical
+    coordinates read off the kernel's free rows) and one rref gives the
+    next kernel."""
     s1, _, _ = ka3_simples(F3)
     res = free_resolution(s1, 0)
-    calls = _count_rref(monkeypatch)
+    calls = _count_eliminations(monkeypatch, ("rref", "pivots"))
     res._extend_to(1)
     assert res.ranks[1] > 0 and len(calls) == 2
 
@@ -133,7 +147,7 @@ def test_random_lift_reduces_once(monkeypatch):
     """The random null-space part of a lift comes from the same reduction."""
     e = ka3_first_step(F3)
     gens = free_resolution(e.quotient, 1).gens[0]
-    calls = _count_rref(monkeypatch)
+    calls = _count_eliminations(monkeypatch)
     lifted = lift_solve(e.maps[1].matrix, gens, Random(5))
     assert len(calls) == 1 and e.maps[1].matrix @ lifted == gens
 
@@ -143,10 +157,10 @@ def test_extension_from_class_reads_the_first_syzygy(monkeypatch):
     augmentation: lift, closure and quotient reduce once each."""
     e1, _ = random_ses_pair(Random(4), GF(3))
     a = class_of_extension(e1)
-    calls = _count_rref(monkeypatch)
+    calls = _count_eliminations(monkeypatch)
     e = extension_from_class(a)
     assert len(calls) == 3
-    assert a.space.res._syzygy == linalg.kernel_basis(a.space.res._aug)
+    assert a.space.res._kers[0][0] == linalg.kernel_basis(a.space.res._aug)
     assert class_of_extension(e) == a
 
 
@@ -158,6 +172,19 @@ def test_resolution_grows_in_place():
     assert r2.truncation >= 3
 
 
+def test_ext_reads_no_deeper_than_its_degree():
+    """Ext^i resolves through P_i; the filtration classes stop at the
+    degrees they read: G/F2 at 2 (the composite), F2/F1 at 1."""
+    rng = Random(0xDE97)
+    for i in range(4):
+        M = kx3_simple(F3) if i % 2 else random_module(rng, random_bound_quiver_algebra(rng, F3))
+        ext_group(M, M, i)
+        assert free_resolution(M, 0).truncation == i
+    a1, _, a, _ = filtration_two_class(random_filtration(Random(0xF17), F2))
+    assert free_resolution(a.source, 0).truncation == 2
+    assert free_resolution(a1.source, 0).truncation == 1
+
+
 def test_resolution_of_free_module_is_trivial():
     amb = kx3_regular(QQ)
     res = free_resolution(amb, 3)
@@ -165,6 +192,26 @@ def test_resolution_of_free_module_is_trivial():
 
 
 # -- Ext dimensions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_ext_space_matches_next_generator_reference(field):
+    """Cocycles cut out by the syzygy basis of ker d_i have the canonical
+    coordinates of those cut out by the generators of P_(i+1)."""
+    rng = Random(0xE47)
+    nonzero = 0
+    for _ in range(12):
+        alg = random_bound_quiver_algebra(rng, field)
+        M = random_module(rng, alg)
+        for N in (random_module(rng, alg), free_module(alg, 1)):
+            for i in range(3):
+                space = _ext_space(M, N, i)
+                include, project = ext_space_reference(M, N, i)
+                assert space.dim == include.ncols
+                assert space.include.key() == include.key()
+                assert space.project.key() == project.key()
+                nonzero += i > 0 and space.dim > 0
+    assert nonzero >= 5
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3])
