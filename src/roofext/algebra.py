@@ -40,7 +40,6 @@ from .linalg import (
     _dot,
     _kernel,
     block_diag,
-    kernel_basis,
     rank,
     rref,
     solve,
@@ -293,9 +292,6 @@ class ModuleHom:
 
     def __hash__(self):
         return hash((self.source.key(), self.target.key(), self.matrix.key()))
-
-    def kernel(self) -> Mat:
-        return kernel_basis(self.matrix)
 
     def image(self) -> Mat:
         red, piv = rref(self.matrix.T)

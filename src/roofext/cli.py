@@ -7,14 +7,15 @@ headline vanishing suite over bundled or random filtrations), `projcoh`
 (sheaf cohomology tables), and `prop2-report` (the two-chain consistency
 report).
 
-Exit codes: 0 success, 1 a checked property failed, 2 malformed input
-(schema), 3 semantic mismatch (e.g. non-composable inputs), 4 degenerate
-filtration (also a random sampler that gives up), 5 internal error (a
-failed invariant check, an inconsistent long-exact-sequence chase, or any
-other ValueError: a bug, not bad input).  JSON output is
-canonical — sorted keys, no whitespace — so identical inputs and seeds
-produce byte-identical bytes.  Input tokens of the form `fixture:NAME`
-resolve to the bundled example files.
+Exit codes: 0 success, 1 a checked property failed (a nontrivial
+lemma-check composite, or the second route of `yoneda` or `roof` disagreeing
+with the first), 2 malformed input (schema), 3 semantic mismatch (e.g.
+non-composable inputs), 4 degenerate filtration (also a random sampler that
+gives up), 5 internal error (a failed invariant check, an inconsistent
+long-exact-sequence chase, or any other ValueError: a bug, not bad input).
+JSON output is canonical — sorted keys, no whitespace — so identical inputs
+and seeds produce byte-identical bytes.  Input tokens of the form
+`fixture:NAME` resolve to the bundled example files.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def cmd_yoneda(args) -> int:
         "splice_class": _class_entry(spliced_class),
         "splice_matches_product": spliced_class == product.scale(SPLICE_PRODUCT_SIGN),
     }
+    code = EXIT_OK if doc["splice_matches_product"] else EXIT_FAIL
     if args.json:
         _emit([jsonio.dump_canonical(doc)], args.out)
-        return EXIT_OK
+        return code
     lines = [
         f"first class  (Ext^{e1.degree}): trivial={doc['first_class']['trivial']} "
         f"coords={doc['first_class']['coords']}",
@@ -172,7 +174,7 @@ def cmd_yoneda(args) -> int:
         f"splice route agrees with the pinned sign: {doc['splice_matches_product']}",
     ]
     _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK
+    return code
 
 
 # -- roof ----------------------------------------------------------------------
@@ -195,9 +197,10 @@ def cmd_roof(args) -> int:
         "composite_class": _class_entry(c),
         "matches_yoneda_product": c == product,
     }
+    code = EXIT_OK if doc["matches_yoneda_product"] else EXIT_FAIL
     if args.json:
         _emit([jsonio.dump_canonical(doc)], args.out)
-        return EXIT_OK
+        return code
     lines = [
         f"composite roof apex lives in degrees {doc['apex_degrees']}",
         f"composite class (Ext^2): trivial={doc['composite_class']['trivial']} "
@@ -205,7 +208,7 @@ def cmd_roof(args) -> int:
         f"agrees with the cocycle-route product: {doc['matches_yoneda_product']}",
     ]
     _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK
+    return code
 
 
 # -- lemma-check -----------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "free_resolution",
     "minimal_generators",
     "hom_from_free",
-    "eval_free_images",
     "ext_group",
     "ExtElement",
     "ext_element_from_images",
@@ -87,11 +86,6 @@ def hom_from_free(target: Module, images: Mat) -> Mat:
     a, c = target.algebra.dim, images.ncols
     hit = target.act_all(images).a.reshape(target.dim, a, c)
     return Mat(target.field, hit.transpose(0, 2, 1).reshape(target.dim, c * a))
-
-
-def eval_free_images(target: Module, images: Mat, vecs: Mat) -> Mat:
-    """Evaluate the hom given by generator images on free-coordinate vectors."""
-    return hom_from_free(target, images) @ vecs
 
 
 def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Mat:
@@ -171,39 +165,39 @@ class Resolution:
 
     Grows monotonically: extending the truncation appends terms without
     touching the ones already computed, so shared cached instances are safe.
-    gens[0] holds generator images in the target; gens[k] (k >= 1) are the
-    k-th syzygy generators inside P_(k-1).  _kers[k] = (K, free) is the
-    canonical kernel of d_k (d_0 the augmentation), so the columns of K
-    span the syzygies inside P_k, and gens[k+1] is picked from them.
+    _maps[k] is the matrix of d_k : P_k -> P_(k-1), with P_(-1) the target
+    and d_0 the augmentation; gens[k] are its generator images, picked from
+    the identity basis of the target for k = 0 and from the syzygies inside
+    P_(k-1) after.  _kers[k] = (K, free) is the canonical kernel of d_k, so
+    the columns of K span the syzygies inside P_k.
     """
 
     def __init__(self, target: Module):
         self.target = target
-        dim = target.dim
-        g0 = minimal_generators(target, Mat.identity(target.field, dim), tuple(range(dim)))
-        self.gens: list[Mat] = [g0]
-        self.ranks: list[int] = [g0.ncols]
-        self.terms: list[Module] = [free_module(target.algebra, g0.ncols)]
-        self._aug = hom_from_free(target, g0)
-        self._maps: list[Mat] = []  # _maps[k-1] is the matrix of d_k
-        self._kers = [_kernel(self._aug)]
+        self.gens: list[Mat] = []
+        self.ranks: list[int] = []
+        self.terms: list[Module] = []
+        self._maps: list[Mat] = []
+        self._kers: list[tuple[Mat, tuple[int, ...]]] = []
+        self._extend_to(0)
 
     @property
     def truncation(self) -> int:
         return len(self.ranks) - 1
 
-    @property
-    def augmentation(self) -> ModuleHom:
-        return ModuleHom(self.terms[0], self.target, self._aug, check=False)
-
     def map(self, k: int) -> ModuleHom:
-        """The differential d_k : P_k -> P_(k-1), for 1 <= k <= truncation."""
-        return ModuleHom(self.terms[k], self.terms[k - 1], self._maps[k - 1], check=False)
+        """The differential d_k : P_k -> P_(k-1), for 0 <= k <= truncation."""
+        below = self.terms[k - 1] if k else self.target
+        return ModuleHom(self.terms[k], below, self._maps[k], check=False)
 
     def _extend_to(self, d: int) -> None:
         while self.truncation < d:
-            prev = self.terms[-1]
-            g = minimal_generators(prev, *self._kers[-1])
+            if self.terms:
+                prev, span = self.terms[-1], self._kers[-1]
+            else:
+                prev = self.target
+                span = Mat.identity(prev.field, prev.dim), tuple(range(prev.dim))
+            g = minimal_generators(prev, *span)
             self.gens.append(g)
             self.ranks.append(g.ncols)
             self.terms.append(free_module(self.target.algebra, g.ncols))
@@ -234,18 +228,17 @@ def free_resolution(M: Module, d: int) -> Resolution:
 # -- Ext spaces --------------------------------------------------------------
 
 
-def _hom_delta(res: Resolution, N: Module, k: int, g: Mat | None = None) -> Mat:
-    """Evaluation Hom(P_k, N) -> N^c on the c columns of g, vectors of P_k.
+def _hom_delta(N: Module, rk: int, g: Mat) -> Mat:
+    """Evaluation Hom(P, N) -> N^c on the c columns of g, vectors of a free
+    module P of rank rk.
 
-    g defaults to the syzygy generators gens[k+1], which gives the
+    On the generators gens[k+1] of a resolution (rk = ranks[k]) this is the
     differential Hom(P_k, N) -> Hom(P_(k+1), N).  Block (u, t) is
     sum_s g[t*a + s, u] N_s for N's action matrices N_s: one product of the
     coefficients, shaped (c*rk) x a, with the flattened N_s, shaped a x nn^2.
     """
     field, nn, a = N.field, N.dim, N.algebra.dim
-    if g is None:
-        g = res.gens[k + 1]
-    rk, c = res.ranks[k], g.ncols
+    c = g.ncols
     coeffs = g.a.T.reshape(c * rk, a)
     hit = N.act_all(Mat.identity(field, nn)).a  # [N_0 | N_1 | ...]
     acts = hit.reshape(nn, a, nn).transpose(1, 0, 2).reshape(a, nn * nn)
@@ -259,12 +252,12 @@ class _ExtSpace:
 
     def __init__(self, M: Module, N: Module, i: int):
         self.M, self.N, self.i = M, N, i
-        self.res = free_resolution(M, i)
-        self.delta_out = _hom_delta(self.res, N, i, self.res._kers[i][0])
+        res = self.res = free_resolution(M, i)
+        self.delta_out = _hom_delta(N, res.ranks[i], res._kers[i][0])
         if i == 0:
             delta_in = Mat.zeros(M.field, self.delta_out.ncols, 0)
         else:
-            delta_in = _hom_delta(self.res, N, i - 1)
+            delta_in = _hom_delta(N, res.ranks[i - 1], res.gens[i])
         _, self.include, self.project = subquotient(self.delta_out, delta_in)
         self.dim = self.include.ncols
 
@@ -284,14 +277,17 @@ class ExtElement:
     """An Ext class: a cocycle plus canonical quotient coordinates.
 
     Equal classes (same groups, possibly different representing cocycles)
-    compare equal through the coordinates.
+    compare equal through the coordinates.  roofext builds every one itself
+    (from a lift, a basis column or a sum), never from input, so a vector
+    that is not a cocycle, one that does not vanish on the syzygies
+    ker d_i, is an internal fault.  This is the one cocycle check.
     """
 
     def __init__(self, space: _ExtSpace, vec: Mat):
         if vec.shape != (space.res.ranks[space.i] * space.N.dim, 1):
-            raise SchemaError("cocycle vector has wrong length for this Ext group")
+            raise InvariantError("cocycle vector has wrong length for this Ext group")
         if not (space.delta_out @ vec).is_zero():
-            raise SchemaError("vector is not a cocycle: it does not vanish on the next syzygies")
+            raise InvariantError("vector is not a cocycle: it does not vanish on ker d_i")
         self.space = space
         self.vec = vec
         self.coords = space.project @ vec
@@ -316,11 +312,6 @@ class ExtElement:
         if r == 0:
             return Mat.zeros(self.vec.field, n, 0)
         return Mat(self.vec.field, np.ascontiguousarray(self.vec.a).reshape(r, n).T)
-
-    @property
-    def cocycle(self) -> ModuleHom:
-        return ModuleHom(self.space.res.terms[self.degree], self.target,
-                         hom_from_free(self.target, self.images), check=False)
 
     def is_zero(self) -> bool:
         return self.coords.is_zero()
@@ -411,7 +402,7 @@ def _lift_along(res: Resolution, start: int, phi: Mat, steps, rng: Random | None
     exact target whose t-th step is steps[t-1] = (C, d): phi_t solves
     d phi_t = phi_(t-1) on res.gens[start+t], evaluated in C.  Returns the last."""
     for t, (C, d) in enumerate(steps, 1):
-        phi = lift_solve(d, eval_free_images(C, phi, res.gens[start + t]), rng)
+        phi = lift_solve(d, hom_from_free(C, phi) @ res.gens[start + t], rng)
     return phi
 
 
@@ -430,9 +421,9 @@ def yoneda_product(a: ExtElement, b: ExtElement) -> ExtElement:
     res_m = free_resolution(M, i + j)
     res_n = free_resolution(a.target, j)
     # F_0 : P_i(M) -> P_0(N) lifting a's images through the augmentation
-    cur = _lift_along(res_m, i, lift_solve(res_n._aug, a.images),
-                      zip(res_n.terms, res_n._maps[:j]))
-    return ext_element_from_images(M, L, i + j, eval_free_images(L, b.images, cur))
+    cur = _lift_along(res_m, i, lift_solve(res_n._maps[0], a.images),
+                      zip(res_n.terms, res_n._maps[1:j + 1]))
+    return ext_element_from_images(M, L, i + j, hom_from_free(L, b.images) @ cur)
 
 
 # -- extension sequences -----------------------------------------------------
@@ -470,16 +461,16 @@ class ExtensionSeq:
         for t, m in enumerate(self.maps):
             if m.source != self.mods[t] or m.target != self.mods[t + 1]:
                 raise SchemaError(f"map {t} does not match the modules at node {t}")
-        if not self.maps[0].is_injective():
+        ranks = [rank(m.matrix) for m in self.maps]
+        if ranks[0] != self.sub.dim:
             raise SchemaError("exactness fails at node 0: first map is not injective")
-        if not self.maps[-1].is_surjective():
+        if ranks[-1] != self.quotient.dim:
             raise SchemaError(
                 f"exactness fails at node {len(self.mods) - 1}: last map is not surjective")
         for t in range(1, len(self.maps)):
             if not (self.maps[t] @ self.maps[t - 1]).is_zero():
                 raise SchemaError(f"exactness fails at node {t}: composite is nonzero")
-            ker_dim = self.mods[t].dim - rank(self.maps[t].matrix)
-            if rank(self.maps[t - 1].matrix) != ker_dim:
+            if ranks[t - 1] != self.mods[t].dim - ranks[t]:
                 raise SchemaError(f"exactness fails at node {t}: image is smaller than kernel")
 
     def __repr__(self):
@@ -514,9 +505,6 @@ def class_of_extension(e: ExtensionSeq, rng: Random | None = None) -> ExtElement
     res = free_resolution(M, i)
     steps = [(e.mods[i - t + 1], e.maps[i - t].matrix) for t in range(1, i + 1)]
     c = _lift_along(res, 0, lift_solve(e.maps[i].matrix, res.gens[0], rng), steps, rng)
-    chk = eval_free_images(N, c, res._kers[i][0])
-    if not chk.is_zero():
-        raise InvariantError("lifted cocycle fails to vanish on the next syzygies")
     return ext_element_from_images(M, N, i, c)
 
 
@@ -529,13 +517,13 @@ def extension_from_class(a: ExtElement) -> ExtensionSeq:
     field = M.field
     p0 = res.terms[0]
     K = res._kers[0][0]
-    pre = lift_solve(res._maps[0], K)
-    cbar = eval_free_images(N, a.images, pre)  # value of the cocycle on the syzygy
+    pre = lift_solve(res._maps[1], K)
+    cbar = hom_from_free(N, a.images) @ pre  # value of the cocycle on the syzygy
     W, injs, _projs = direct_sum([N, p0])
     graph = vstack([cbar, -K])
     sub_incl = submodule(W, graph)
     E, proj_w, section = submodule_quotient(W, sub_incl)
     iota = proj_w @ injs[0]
-    pibar = hstack([Mat.zeros(field, M.dim, N.dim), res._aug])
+    pibar = hstack([Mat.zeros(field, M.dim, N.dim), res._maps[0]])
     pi = ModuleHom(E, M, pibar @ section, check=True)
     return ExtensionSeq([N, E, M], [iota, pi])

@@ -265,10 +265,6 @@ class Mat:
             z[i, i] = 1
         return Mat._of(field, z)
 
-    @staticmethod
-    def column(field: Field, entries) -> "Mat":
-        return Mat(field, np.asarray(list(entries), dtype=object).reshape(-1, 1))
-
     # -- shape ------------------------------------------------------------
 
     @property

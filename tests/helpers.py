@@ -234,10 +234,10 @@ def ext_space_reference(M: Module, N: Module, i: int) -> tuple[Mat, Mat]:
     degree i+1, whose cocycles vanish on the generators gens[i+1] of P_(i+1)."""
     res = Resolution(M)
     res._extend_to(i + 1)
-    delta_out = _hom_delta(res, N, i)
+    delta_out = _hom_delta(N, res.ranks[i], res.gens[i + 1])
     if i == 0:
         delta_in = Mat.zeros(M.field, delta_out.ncols, 0)
     else:
-        delta_in = _hom_delta(res, N, i - 1)
+        delta_in = _hom_delta(N, res.ranks[i - 1], res.gens[i])
     _, include, project = subquotient(delta_out, delta_in)
     return include, project

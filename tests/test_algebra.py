@@ -467,6 +467,18 @@ def shifted(*args):  # a lift off by the all-ones images
 ext._lift_along = shifted
 ext.class_of_extension(ka3_first_step(GF(3)))
 """,
+    "yoneda-product-off-the-cocycles": """
+import roofext.ext as ext
+from roofext.instances import ka3_first_step, ka3_second_step
+from roofext.linalg import GF, Mat
+a, b = (ext.class_of_extension(e) for e in (ka3_first_step(GF(3)), ka3_second_step(GF(3))))
+real = ext._lift_along
+def shifted(*args):  # a lift off by the all-ones images
+    c = real(*args)
+    return c + Mat(c.field, [[1] * c.ncols] * c.nrows)
+ext._lift_along = shifted
+ext.yoneda_product(a, b)
+""",
 }
 
 

@@ -6,15 +6,19 @@ one smoke test at the end exercises the installed console script.
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import roofext.cli as cli
+import roofext.ext as ext
 from roofext.cli import main
 from roofext.errors import AmbiguousChaseError, InvariantError
+from roofext.linalg import Mat
 
 
 def run(capsys, argv):
@@ -90,6 +94,27 @@ def test_roof_text_output(capsys):
     rc, out = run(capsys, ["roof", "fixture:kx3_ses_top", "fixture:kx3_ses_bottom"])
     assert rc == 0
     assert "agrees with the cocycle-route product: True" in out
+
+
+@pytest.mark.parametrize("command, check", [("yoneda", "splice_matches_product"),
+                                            ("roof", "matches_yoneda_product")])
+def test_failed_cross_check_exits_1(capsys, monkeypatch, command, check):
+    """A Yoneda lift off by the all-ones images still lands on a cocycle
+    here, but on the wrong class: the command prints its verdict as before
+    and exits 1."""
+    real = ext._lift_along
+
+    def shifted(res, start, *args):
+        c = real(res, start, *args)
+        return c + Mat(c.field, [[1] * c.ncols] * c.nrows) if start > 0 else c
+
+    argv = [command, "fixture:kx3_ses_top", "fixture:kx3_ses_bottom"]
+    monkeypatch.setattr(ext, "_lift_along", shifted)
+    rc, out = run(capsys, argv + ["--json"])
+    assert rc == 1
+    assert json.loads(out)[check] is False
+    rc, out = run(capsys, argv)
+    assert rc == 1 and ": False" in out
 
 
 # -- lemma-check ------------------------------------------------------------------
@@ -436,6 +461,30 @@ def test_out_flag_writes_same_bytes(capsys, tmp_path):
     assert rc == 0
     rc, out = run(capsys, ["projcoh", "P3", "O(3)", "--json"])
     assert path.read_text() == out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `roofext ...` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("roofext ")]
+
+
+_README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in _README_COMMANDS} == {
+        "ext", "yoneda", "roof", "lemma-check", "projcoh", "prop2-report"}
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
+def test_readme_command_lines_run(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8")
 
 
 def test_console_script_smoke():
