@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DegenerateFiltrationError, InvariantError, NotSubmoduleError, SchemaError
 from .linalg import (
     Field,
-    IncrementalSpan,
     Mat,
     _dot,
     _kernel,
@@ -389,25 +388,12 @@ def vector_space_module(field: Field, dim: int, label: str = "") -> Module:
     return Module(A, action=[Mat.identity(field, dim)], label=label)
 
 
-def close_span(module: Module, span: IncrementalSpan, fresh: list[np.ndarray]) -> None:
-    """Add the submodule generated by the fresh vectors to an action-stable span.
-
-    One round suffices: the submodule generated by G is A*G = span{e_i g},
-    action-stable since e_j (e_i g) = (e_j e_i) g, and it contains G since
-    1 lies in A.  A sum of submodules is again a submodule.
-    """
-    if fresh:
-        hit = module.act_all(Mat(module.field, np.array(fresh, dtype=object).T))
-        for j in range(hit.ncols):
-            span.add(hit.a[:, j])
-
-
 def _closure(module: Module, gens: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Canonical basis of the submodule generated by the given columns.
 
-    That submodule is A*G = span{e_i g} (see close_span), so one RREF of all
-    action images gives it.  The basis is the transposed RREF; the returned
-    pivots index the rows where it is the identity.
+    That submodule is A*G = span{e_i g}, so one RREF of all action images
+    gives it.  The basis is the transposed RREF; the returned pivots index
+    the rows where it is the identity.
     """
     red, piv = rref(module.act_all(gens).T)
     return red.take_rows(range(len(piv))).T, piv

@@ -18,11 +18,13 @@ the apex); degree-1 classes convert back via a pushout.
 
 Resolutions use greedy-minimal generator picking: Nakayama-style through
 the radical when the algebra knows its radical, otherwise a greedy scan
-with a pair-merging pass.
+and a pair-merging pass done as eliminations: one pivot scan of the action
+images of the whole basis, then one rank per merge candidate.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -30,7 +32,6 @@ import numpy as np
 from .algebra import (
     Module,
     ModuleHom,
-    close_span,
     direct_sum,
     free_module,
     submodule,
@@ -38,7 +39,6 @@ from .algebra import (
 )
 from .errors import InvariantError, MiddleMismatchError, SchemaError, TruncationError
 from .linalg import (
-    IncrementalSpan,
     Mat,
     _dot,
     _kernel,
@@ -94,8 +94,9 @@ def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Ma
     The span must already be action-stable, and basis the identity on its
     free rows, as _kernel's are.  With a known radical the pick is minimal
     (Nakayama): the basis vectors at the non-pivots of coords.T, for the
-    radical images' coordinates coords = hit[free].  Without one, a greedy
-    scan over the basis plus a pair-merging pass.
+    radical images' coordinates coords = hit[free].  Without one, the
+    greedy picker: one elimination scans the basis, then one rank decides
+    each pair-merging candidate (see _greedy_generators).
     """
     if basis.ncols == 0:
         return basis
@@ -122,42 +123,31 @@ def _radical_images(ambient: Module, basis: Mat, rad: Mat) -> Mat:
 
 
 def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
-    total = basis.ncols
-    gens: list[np.ndarray] = []
-    span = IncrementalSpan(ambient.field, ambient.dim)
-    for j in range(total):
-        v = basis.a[:, j]
-        if not span.contains(v):
-            gens.append(np.array(v, copy=True))
-            close_span(ambient, span, [v])
+    """Generators for an algebra without a known radical, by eliminations.
 
-    def _spans_all(cand: list[np.ndarray]) -> bool:
-        sp = IncrementalSpan(ambient.field, ambient.dim)
-        close_span(ambient, sp, cand)
-        return sp.rank == total
+    The scan keeps basis column v_j exactly when v_j lies outside
+    A{v_0..v_(j-1)}, which is when the group of columns e_s v_j of
+    H = hom_from_free(ambient, basis) holds a pivot of H: a pivot column is
+    one outside the span of the columns before it.  The pair-merging pass
+    then replaces two generators by their sum (or difference) while the
+    result still generates, decided by one rank per candidate.
+    """
+    field, n, total = ambient.field, ambient.algebra.dim, basis.ncols
+    gens = [basis.a[:, j] for j in sorted({c // n for c in pivots(hom_from_free(ambient, basis))})]
+    signs = (1,) if field.char == 2 else (1, -1)
 
-    improved = True
-    while improved and len(gens) > 1:
-        improved = False
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                merges = [gens[i] + gens[j]]
-                if ambient.field.char != 2:
-                    merges.append(gens[i] - gens[j])
-                rest = [g for t, g in enumerate(gens) if t not in (i, j)]
-                done = False
-                for m in merges:
-                    if _spans_all(rest + [m]):
-                        gens = rest + [m]
-                        improved = done = True
-                        break
-                if done:
-                    break
-            if improved:
-                break
-    if not gens:
-        return Mat.zeros(ambient.field, ambient.dim, 0)
-    return Mat(ambient.field, np.array(gens, dtype=object).T)
+    def merged() -> list[np.ndarray] | None:
+        for i, j in combinations(range(len(gens)), 2):
+            rest = [g for t, g in enumerate(gens) if t not in (i, j)]
+            for s in signs:
+                cand = rest + [gens[i] + s * gens[j]]
+                if rank(ambient.act_all(Mat(field, np.array(cand, dtype=object).T))) == total:
+                    return cand
+        return None
+
+    while len(gens) > 1 and (cand := merged()) is not None:
+        gens = cand
+    return Mat(field, np.array(gens, dtype=object).T)
 
 
 class Resolution:

@@ -234,17 +234,22 @@ def _random_ses_chain(rng: Random, field: Field, length: int,
     """length composable extensions over one algebra.
 
     Draws modules M_0, ..., M_length; E_k classifies Ext^1(M_(k-1), M_k),
-    so the sub of each sequence is the quotient of the next.
+    so the sub of each sequence is the quotient of the next.  All of them
+    are drawn first, but M_(k+1) is built only when the Ext^1 checks reach
+    it; building takes no rng, so the draw stream is that of drawing and
+    building each in turn.
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        mods = [random_module(rng, algebra, 4) for _ in range(length + 1)]
-        bases = []
-        for src, dst in zip(mods, mods[1:]):
+        builds = [_draw_module(rng, algebra, 4)[2] for _ in range(length + 1)]
+        src, bases = builds[0](), []
+        for build in builds[1:]:
+            dst = build()
             dim, basis = ext_group(src, dst, 1)
             if dim == 0:
                 break
             bases.append(basis)
+            src = dst
         else:
             return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
     raise RuntimeError(f"could not draw a composable chain of {length} extensions")

@@ -118,12 +118,16 @@ class RationalField(Field):
         match = _QQ_SCALAR.fullmatch(s) if isinstance(s, str) else None
         if match is None:
             raise TypeError(f"{s!r:.40} is not an integer or an 'a/b' string")
-        num, den = int(match[1]), int(match[2] or 1)
+        if match[2] is None:
+            return int(match[1])
+        num, den = int(match[1]), int(match[2])
         if den == 0:
             raise ValueError(f"{s!r:.40} has a zero denominator")
         return _canonical(Fraction(num, den))
 
     def fmt(self, x):
+        if type(x) is int:
+            return str(x)
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -676,8 +680,10 @@ def subquotient(d_out: Mat, d_in: Mat) -> tuple[Mat, Mat, Mat]:
 class IncrementalSpan:
     """Growing subspace with O(dim) membership tests.
 
-    Holds an echelonized set of row vectors keyed by leading index; used by
-    the greedy generator picker, which tests candidates one at a time.
+    Holds an echelonized set of row vectors keyed by leading index.  No code
+    in the package calls it; it stays public API, with add spanned by the
+    bench tracer, until the greedy generator picker is deleted (ROADMAP
+    item 2).
     """
 
     def __init__(self, field: Field, dim: int):

@@ -12,9 +12,12 @@ injections, hom_constraints_reference builds the Hom constraint matrix
 from Kronecker products, and bound_quiver_algebra_reference fills the
 structure constants of a bound quiver algebra path pair by path pair, and
 ext_space_reference cuts the Ext^i cocycles out with the generators of
-P_(i+1) of a resolution extended one degree further; all five are the
-package's earlier constructions, kept as oracles for is_quasi_iso,
-direct_sum, _hom_matrix, bound_quiver_algebra and ext._ExtSpace.
+P_(i+1) of a resolution extended one degree further, and
+greedy_generators_reference picks generators one membership test at a time
+in an IncrementalSpan, and ses_chain_reference builds every module it
+draws; all seven are the package's earlier constructions, kept as oracles
+for is_quasi_iso, direct_sum, _hom_matrix, bound_quiver_algebra,
+ext._ExtSpace, ext._greedy_generators and instances._random_ses_chain.
 """
 
 from dataclasses import dataclass
@@ -22,11 +25,13 @@ from random import Random
 
 import numpy as np
 
-from roofext.algebra import Algebra, Module, ModuleHom, hom_space
+from roofext.algebra import Algebra, Module, ModuleHom, hom_space, random_bound_quiver_algebra
 from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
-from roofext.ext import Resolution, _hom_delta
+from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
+from roofext.instances import random_ext_element, random_module
 from roofext.linalg import (
-    Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve, subquotient)
+    IncrementalSpan, Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve,
+    subquotient)
 
 
 def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
@@ -241,3 +246,70 @@ def ext_space_reference(M: Module, N: Module, i: int) -> tuple[Mat, Mat]:
         delta_in = _hom_delta(N, res.ranks[i - 1], res.gens[i])
     _, include, project = subquotient(delta_out, delta_in)
     return include, project
+
+
+def greedy_generators_reference(ambient: Module, basis: Mat) -> Mat:
+    """Greedy generators of the span of basis: a scan that keeps each column
+    outside the closure of those kept before it, then a pair-merging pass
+    that replaces two generators by their sum (or difference) while the
+    closure still has the full rank; every closure is grown in an
+    IncrementalSpan from the action images A*G = span{e_i g}."""
+    field, total = ambient.field, basis.ncols
+
+    def close(span: IncrementalSpan, fresh: list[np.ndarray]) -> None:
+        hit = ambient.act_all(Mat(field, np.array(fresh, dtype=object).T))
+        for j in range(hit.ncols):
+            span.add(hit.a[:, j])
+
+    gens: list[np.ndarray] = []
+    span = IncrementalSpan(field, ambient.dim)
+    for j in range(total):
+        v = basis.a[:, j]
+        if not span.contains(v):
+            gens.append(np.array(v, copy=True))
+            close(span, [v])
+
+    def spans_all(cand: list[np.ndarray]) -> bool:
+        sp = IncrementalSpan(field, ambient.dim)
+        close(sp, cand)
+        return sp.rank == total
+
+    improved = True
+    while improved and len(gens) > 1:
+        improved = False
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                merges = [gens[i] + gens[j]]
+                if field.char != 2:
+                    merges.append(gens[i] - gens[j])
+                rest = [g for t, g in enumerate(gens) if t not in (i, j)]
+                done = False
+                for m in merges:
+                    if spans_all(rest + [m]):
+                        gens = rest + [m]
+                        improved = done = True
+                        break
+                if done:
+                    break
+            if improved:
+                break
+    if not gens:
+        return Mat.zeros(field, ambient.dim, 0)
+    return Mat(field, np.array(gens, dtype=object).T)
+
+
+def ses_chain_reference(rng: Random, field, length: int, tries: int) -> tuple:
+    """length composable extensions over one algebra, each of the modules
+    M_0..M_length built as soon as it is drawn."""
+    for _ in range(tries):
+        algebra = random_bound_quiver_algebra(rng, field)
+        mods = [random_module(rng, algebra, 4) for _ in range(length + 1)]
+        bases = []
+        for src, dst in zip(mods, mods[1:]):
+            dim, basis = ext_group(src, dst, 1)
+            if dim == 0:
+                break
+            bases.append(basis)
+        else:
+            return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
+    raise RuntimeError(f"could not draw a composable chain of {length} extensions")

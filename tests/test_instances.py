@@ -4,6 +4,7 @@ import hashlib
 from random import Random
 
 import pytest
+from helpers import ses_chain_reference
 
 import roofext.instances as instances
 from roofext.algebra import _closure, free_module, random_bound_quiver_algebra
@@ -264,6 +265,25 @@ def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
     assert len(subs) == 2 * len(docs) + len(quotient_dims)
     assert all(dim >= 3 for dim in quotient_dims)
     assert len(quotient_dims) <= len(docs)
+
+
+def test_ses_sampler_builds_only_the_modules_it_checks(monkeypatch):
+    """On criterion 4's seed (10 pairs, then 5 triples) the sampler builds
+    fewer quotients than building every drawn module at once, and leaves
+    the same sequences and the same rng state."""
+    built = []
+    real = instances.submodule_quotient
+    monkeypatch.setattr(instances, "submodule_quotient", lambda *a: built.append(1) or real(*a))
+    runs = []
+    for chain in (instances._random_ses_chain, ses_chain_reference):
+        built.clear()
+        rng = Random(0x400F)
+        docs = [[extension_to_json(e) for e in chain(rng, (F2, F3)[i % 2], 2 + (i >= 10), 800)]
+                for i in range(15)]
+        runs.append((dump_canonical(docs), rng.getstate(), len(built)))
+    (lazy_docs, lazy_state, lazy), (eager_docs, eager_state, eager) = runs
+    assert lazy_docs == eager_docs and lazy_state == eager_state
+    assert lazy < eager
 
 
 def test_filtration_sampler_checks_what_it_built(monkeypatch):

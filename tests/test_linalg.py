@@ -66,10 +66,17 @@ def test_gf_requires_prime():
 
 
 def test_qq_parse_fmt_roundtrip():
-    for s in ["0", "5", "-7", "2/3", "-9/4", "+3", "6/3", "-4/6", 12, -8]:
+    for s in ["0", "5", "-7", "2/3", "-9/4", "+3", "6/3", "-4/6", "-0", "007", "4/2", "6/4",
+              12, -8]:
         x = QQ.parse(s)
         assert QQ.fmt(x) == str(Fraction(s))
         assert type(x) is int or x.denominator != 1  # the canonical form
+    assert QQ.parse("6/4") == Fraction(3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        QQ.parse("1/0")
+    with pytest.raises(TypeError):
+        QQ.parse("1e9")
+    assert QQ.fmt(7) == "7" and QQ.fmt(Fraction(-3, 2)) == "-3/2"
 
 
 def test_prime_field_parse_fmt():
