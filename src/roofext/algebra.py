@@ -116,12 +116,9 @@ class Algebra:
 
     def key(self) -> tuple:
         if self._key is None:
-            self._key = (
-                self.field.name,
-                self.dim,
-                tuple(map(str, self.mult.reshape(-1))),
-                tuple(map(str, self.unit)),
-            )
+            self._key = (self.field.name, self.dim,
+                         tuple(map(str, self.mult.reshape(-1).tolist())),
+                         tuple(map(str, self.unit.tolist())))
         return self._key
 
     def __eq__(self, other):
@@ -491,19 +488,15 @@ def direct_sum(mods: list[Module]):
 # -- quiver algebras --------------------------------------------------------
 
 
-def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int, int]],
-                         nil_index: int = 2, label: str = "") -> Algebra:
-    """Path algebra of a quiver modulo all paths of length >= nil_index.
-
-    Vertices are 0-based.  Products follow function composition: p * q is
-    "q then p", nonzero only when q ends where p starts.  Basis order:
-    trivial paths, arrows, then (for nil_index 3) composable arrow pairs.
-    """
+def _quiver_paths(num_vertices: int, arrows: list[tuple[int, int]],
+                  nil_index: int) -> tuple[list, np.ndarray]:
+    """(paths, mult) of bound_quiver_algebra: its basis paths as (source,
+    target, arrow indices) and its structure constants, 0s and 1s in int64."""
     if nil_index not in (2, 3):
         raise ValueError("only radical-square-zero and radical-cube-zero supported")
     if not all(0 <= v < num_vertices for arrow in arrows for v in arrow):
         raise ValueError("arrows must join vertices of the quiver")
-    # paths as (source, target, arrow indices); the pair (k1, k2) is k1 then k2
+    # the pair (k1, k2) is k1 then k2
     paths = [(v, v, ()) for v in range(num_vertices)]
     paths += [(s, t, (k,)) for k, (s, t) in enumerate(arrows)]
     pairs = [(k1, k2) for k2, (s2, _) in enumerate(arrows)
@@ -519,8 +512,28 @@ def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int
              for c, (k1, k2) in enumerate(pairs, nv + len(arrows))]
     mult = np.zeros(n**3, dtype=np.int64)
     mult[ones] = 1
+    return paths, mult.reshape(n, n, n)
+
+
+def _quiver_table(field: Field, *shape) -> np.ndarray:
+    """free_module(bound_quiver_algebra(field, *shape), 1)._blocks()[2], unbuilt."""
+    mult = _quiver_paths(*shape)[1]
+    n = len(mult)
+    return field.reduce(mult.transpose(0, 2, 1).reshape(n * n, n))
+
+
+def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int, int]],
+                         nil_index: int = 2, label: str = "") -> Algebra:
+    """Path algebra of a quiver modulo all paths of length >= nil_index.
+
+    Vertices are 0-based.  Products follow function composition: p * q is
+    "q then p", nonzero only when q ends where p starts.  Basis order:
+    trivial paths, arrows, then (for nil_index 3) composable arrow pairs.
+    """
+    paths, mult = _quiver_paths(num_vertices, arrows, nil_index)
+    n, nv = len(paths), num_vertices
     unit = np.repeat(np.array([1, 0], dtype=np.int64), [nv, n - nv])
-    alg = Algebra(field, mult.reshape(n, n, n), unit,
+    alg = Algebra(field, mult, unit,
                   radical=Mat(field, np.eye(n, n - nv, -nv, dtype=np.int64)),
                   label=label or f"kQ({num_vertices}v,{len(arrows)}a)/rad^{nil_index}",
                   check=False)
@@ -530,26 +543,24 @@ def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int
 
 
 def quiver_simple(algebra: Algebra, vertex: int) -> Module:
-    """Simple module at a vertex of a bound quiver algebra."""
-    if algebra.quiver is None:
-        raise ValueError("algebra does not carry quiver data")
-    paths = algebra.quiver["paths"]
-    field = algebra.field
-    action = []
-    for _, (s, t, w) in enumerate(paths):
-        one = (not w) and s == vertex
-        action.append(Mat(field, [[1 if one else 0]]))
-    return Module(algebra, action=action, label=f"S{vertex}")
+    """Simple module at a vertex of a bound quiver algebra: the trivial path
+    at the vertex acts by 1, every other basis path by 0."""
+    if algebra.quiver is None or not 0 <= vertex < algebra.quiver["vertices"]:
+        raise ValueError(f"algebra has no quiver with a vertex {vertex}")
+    hit = Mat(algebra.field, np.eye(1, algebra.dim, vertex, dtype=np.int64))
+    return Module.from_act_all(algebra, hit, label=f"S{vertex}")
+
+
+def _random_quiver_shape(rng: Random, max_vertices: int = 3, max_arrows: int = 3) -> tuple:
+    """(vertices, arrows, nil_index) of a random small bound quiver algebra."""
+    nv, na = rng.randint(2, max_vertices), rng.randint(1, max_arrows)
+    return nv, [(rng.randrange(nv), rng.randrange(nv)) for _ in range(na)], rng.choice((2, 2, 3))
 
 
 def random_bound_quiver_algebra(rng: Random, field: Field, max_vertices: int = 3,
                                 max_arrows: int = 3) -> Algebra:
     """Random small bound quiver algebra for the randomized suites."""
-    nv = rng.randint(2, max_vertices)
-    na = rng.randint(1, max_arrows)
-    arrows = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(na)]
-    nil = rng.choice((2, 2, 3))
-    return bound_quiver_algebra(field, nv, arrows, nil_index=nil)
+    return bound_quiver_algebra(field, *_random_quiver_shape(rng, max_vertices, max_arrows))
 
 
 def truncated_polynomial_algebra(field: Field, n: int = 3) -> Algebra:

@@ -5,15 +5,16 @@ against: the truncated polynomial ring k[x]/(x^3) with its submodule
 filtration (x^2) in (x) in A, and the A3 quiver with radical square zero,
 whose simples carry the canonical nonzero degree-2 product.  The random
 generators draw small bound-quiver algebras, modules, filtrations,
-composable extension pairs, and bounded complexes; all of them are driven
-by an explicit Random instance so runs are reproducible from a seed.  The
-rejection samplers decide each draw by Nakayama's top test or by ranks read
-in regular-module coordinates (see _draw_module), and build a module
-(closure, action, quotient, inclusion) only for the draw they return.
+composable extension pairs, and bounded complexes from an explicit Random,
+so runs are reproducible from a seed.  The rejection samplers decide each
+draw by Nakayama's top test or by ranks in regular-module coordinates (see
+_draw_module), and build only the draw they return: random_filtration
+decides on a quiver shape's table, so it builds one algebra per filtration.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from typing import Callable
 
@@ -25,6 +26,8 @@ from .algebra import (
     Module,
     ModuleHom,
     _hom_matrix,
+    _quiver_table,
+    _random_quiver_shape,
     bound_quiver_algebra,
     direct_sum,
     free_module,
@@ -37,7 +40,7 @@ from .algebra import (
 from .complexes import Complex
 from .errors import DegenerateFiltrationError, InvariantError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, block_diag, hstack, pivots, random_mat, rank
+from .linalg import QQ, Field, Mat, _dot, block_diag, hstack, pivots, random_mat, rank
 
 __all__ = [
     "kx3_regular",
@@ -123,54 +126,61 @@ def ka3_second_step(field: Field = QQ) -> ExtensionSeq:
 # -- random generators --------------------------------------------------------
 
 
-def _generates_regular(algebra: Algebra, gens: Mat) -> bool:
-    """Nakayama's top test: as A/rad A = k^vertices, the columns generate a
-    bound quiver algebra A exactly when each vertex v has a column with a
-    nonzero coordinate on the trivial path e_v (the first basis vectors)."""
-    return bool((gens.a[: algebra.quiver["vertices"]] != 0).any(axis=1).all())
+def _generates_regular(nv: int, gens: Mat) -> bool:
+    """Nakayama's top test: as A/rad A = k^nv, the columns generate a bound
+    quiver algebra A with nv vertices exactly when each vertex v has a column
+    with a nonzero coordinate on the trivial path e_v (the first basis vectors)."""
+    return all(map(any, gens.a[:nv].tolist()))
+
+
+def _images(field: Field, stacked: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Row s*k + j is e_s g_j, e_s acting by block s of stacked: one product."""
+    a, k = gens.shape
+    return _dot(field, stacked, gens).reshape(-1, a, k).transpose(0, 2, 1).reshape(-1, a)
 
 
 # a draw: (dimension, rank_of, builder), where rank_of(g) = dim A g in the module
 _Draw = tuple[int, Callable[[Mat], int], Callable[[], Module]]
 
 
-def _draw_module(rng: Random, algebra: Algebra, max_dim: int = 4, tries: int = 64) -> _Draw:
-    """random_module's draw, decided in the regular module F = A^1 before
-    anything is built.  Generators gens leave G = F / A gens; with
-    rows = F.act_all(gens).T of rank n, G has dimension F.dim - n, and the
-    pivots of rows are those of G's canonical closure basis, so the section
-    of submodule_quotient lifts g in G to g on the other rows, 0 on them, and
-    dim A g = rank [rows; F.act_all(lift g).T] - n."""
-    free = free_module(algebra, 1)
-    if free.dim <= max_dim and rng.random() < 0.2:
-        return _decided(free, lambda: free)
+def _draw_module(rng: Random, field: Field, nv: int | None, stacked: np.ndarray,
+                 algebra: Callable[[], Algebra], max_dim: int = 4, tries: int = 64) -> _Draw:
+    """random_module's draw, decided in F = A^1 from A's vertex count nv (None:
+    no quiver) and left-regular table stacked; only the builder calls algebra().
+    Generators gens leave G = F / A gens: with rows = [e_s g_j] of rank n, dim G
+    = F.dim - n, the pivots of rows are those of G's canonical closure basis, so
+    the section of submodule_quotient lifts g in G to g off them, 0 on them, and
+    dim A g = rank [rows; e_s lift g] - n."""
+    n = stacked.shape[1]
+    if n <= max_dim and rng.random() < 0.2:
+        return _decided(field, stacked, lambda: free_module(algebra(), 1))
     for _ in range(tries):
-        k = rng.randint(1, max(1, algebra.dim - 1))
-        gens = random_mat(rng, algebra.field, free.dim, k)
-        if algebra.quiver is not None and _generates_regular(algebra, gens):
+        gens = random_mat(rng, field, n, rng.randint(1, max(1, n - 1)))
+        if nv is not None and _generates_regular(nv, gens):
             continue
-        rows = free.act_all(gens).T
+        rows = Mat._of(field, _images(field, stacked, gens.a))
         piv = pivots(rows)
-        if piv and 1 <= free.dim - len(piv) <= max_dim:
-            return _decided(free, lambda: submodule_quotient(free, submodule(free, gens))[0],
-                            rows, piv)
-    if algebra.quiver is not None:
-        simple = quiver_simple(algebra, rng.randrange(algebra.quiver["vertices"]))
-        return _decided(simple, lambda: simple)
+        if piv and 1 <= n - len(piv) <= max_dim:
+            return _decided(field, stacked, lambda: submodule_quotient(
+                free := free_module(algebra(), 1), submodule(free, gens))[0], rows, piv)
+    if nv is not None:
+        v = rng.randrange(nv)  # e_i acts on S_v by 1 if i = v, else by 0
+        return _decided(field, field.reduce(np.eye(n, 1, -v, dtype=np.int64)),
+                        lambda: quiver_simple(algebra(), v))
     raise RuntimeError("could not draw a small random module")
 
 
-def _decided(module: Module, make: Callable[[], Module], rows: Mat | None = None,
-             piv: tuple[int, ...] = ()) -> _Draw:
-    """The draw of G = module / span(rows.T), piv the pivots of rows; the
-    builder checks that make() gives a G of that dimension."""
-    dim, field = module.dim - len(piv), module.field
-    rest = sorted(set(range(module.dim)) - set(piv))
+def _decided(field: Field, stacked: np.ndarray, make: Callable[[], Module],
+             rows: Mat | None = None, piv: tuple[int, ...] = ()) -> _Draw:
+    """The draw of G = M / span(rows.T), e_i acting on M by the i-th square block
+    of stacked, piv the pivots of rows; build() checks make() gives that dim G."""
+    rest = sorted(set(range(stacked.shape[1])) - set(piv))
+    dim = len(rest)
 
     def rank_of(g: Mat) -> int:
-        lift = field.zeros((module.dim, g.ncols))
+        lift = field.zeros((stacked.shape[1], g.ncols))
         lift[rest] = g.a
-        hit = module.act_all(Mat._of(field, lift)).a.T
+        hit = _images(field, stacked, lift)
         stack = hit if rows is None else np.vstack([rows.a, hit])
         return rank(Mat._of(field, stack)) - len(piv)
 
@@ -183,22 +193,30 @@ def _decided(module: Module, make: Callable[[], Module], rows: Mat | None = None
     return dim, rank_of, build
 
 
+def _draw_over(rng: Random, algebra: Algebra, max_dim: int, tries: int = 64) -> _Draw:
+    """_draw_module over an algebra that is already built."""
+    return _draw_module(rng, algebra.field, algebra.quiver and algebra.quiver["vertices"],
+                        free_module(algebra, 1)._blocks()[2], lambda: algebra, max_dim, tries)
+
+
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
     """A random quotient of the regular module with 1 <= dim <= max_dim."""
-    return _draw_module(rng, algebra, max_dim, tries)[2]()
+    return _draw_over(rng, algebra, max_dim, tries)[2]()
 
 
 def random_filtration(rng: Random, field: Field, max_dim: int = 6,
                       tries: int = 400) -> Filtration:
     """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra.
 
-    F1 = A g1 and F2 = A [g1 | g2] are decided on their ranks in regular-module
-    coordinates (see _draw_module); only the draw returned is built.
+    Each try decides G on a drawn quiver shape's left-regular table, and F1 =
+    A g1 and F2 = A [g1 | g2] on their ranks in regular-module coordinates (see
+    _draw_module); only the draw returned is built, its algebra included.
     """
     for _ in range(tries):
-        algebra = random_bound_quiver_algebra(rng, field)
-        dim, rank_of, build = _draw_module(rng, algebra, max_dim=max_dim)
+        shape = _random_quiver_shape(rng)
+        dim, rank_of, build = _draw_module(rng, field, shape[0], _quiver_table(field, *shape),
+                                           partial(bound_quiver_algebra, field, *shape), max_dim)
         if dim < 3:
             continue
         g1 = random_mat(rng, field, dim, 1)
@@ -241,7 +259,7 @@ def _random_ses_chain(rng: Random, field: Field, length: int,
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        builds = [_draw_module(rng, algebra, 4)[2] for _ in range(length + 1)]
+        builds = [_draw_over(rng, algebra, 4)[2] for _ in range(length + 1)]
         src, bases = builds[0](), []
         for build in builds[1:]:
             dst = build()

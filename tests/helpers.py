@@ -14,10 +14,13 @@ structure constants of a bound quiver algebra path pair by path pair, and
 ext_space_reference cuts the Ext^i cocycles out with the generators of
 P_(i+1) of a resolution extended one degree further, and
 greedy_generators_reference picks generators one membership test at a time
-in an IncrementalSpan, and ses_chain_reference builds every module it
-draws; all seven are the package's earlier constructions, kept as oracles
-for is_quasi_iso, direct_sum, _hom_matrix, bound_quiver_algebra,
-ext._ExtSpace, ext._greedy_generators and instances._random_ses_chain.
+in an IncrementalSpan, ses_chain_reference builds every module it draws,
+and random_filtration_reference builds the algebra of every filtration try
+and decides its module on that algebra's free module; all eight are the
+package's earlier constructions, kept as oracles for is_quasi_iso,
+direct_sum, _hom_matrix, bound_quiver_algebra, ext._ExtSpace,
+ext._greedy_generators, instances._random_ses_chain and
+instances.random_filtration.
 """
 
 from dataclasses import dataclass
@@ -25,12 +28,15 @@ from random import Random
 
 import numpy as np
 
-from roofext.algebra import Algebra, Module, ModuleHom, hom_space, random_bound_quiver_algebra
+from roofext.algebra import (
+    Algebra, Filtration, Module, ModuleHom, free_module, hom_space, quiver_simple,
+    random_bound_quiver_algebra, submodule, submodule_quotient)
 from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
+from roofext.errors import DegenerateFiltrationError
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
 from roofext.instances import random_ext_element, random_module
 from roofext.linalg import (
-    IncrementalSpan, Mat, block_diag, hstack, kernel_basis, random_mat, rank, solve,
+    IncrementalSpan, Mat, block_diag, hstack, kernel_basis, pivots, random_mat, rank, solve,
     subquotient)
 
 
@@ -313,3 +319,63 @@ def ses_chain_reference(rng: Random, field, length: int, tries: int) -> tuple:
         else:
             return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
     raise RuntimeError(f"could not draw a composable chain of {length} extensions")
+
+
+def _moved_rows(module: Module, vecs: Mat) -> Mat:
+    """Row s*k + j is e_s v_j for the k columns v_j of vecs, one act_mat
+    product per algebra basis vector."""
+    return hstack([module.act_mat(i) @ vecs for i in range(module.algebra.dim)]).T
+
+
+def _draw_module_reference(rng: Random, algebra: Algebra, max_dim: int, tries: int = 64):
+    """(dim, rank_of, build): random_module's draw, decided on the free module
+    of a built algebra."""
+    free = free_module(algebra, 1)
+    if free.dim <= max_dim and rng.random() < 0.2:
+        return _decided_reference(free, lambda: free)
+    nv = algebra.quiver["vertices"]
+    for _ in range(tries):
+        k = rng.randint(1, max(1, algebra.dim - 1))
+        gens = random_mat(rng, algebra.field, free.dim, k)
+        if (gens.a[:nv] != 0).any(axis=1).all():  # Nakayama: gens generate A
+            continue
+        rows = _moved_rows(free, gens)
+        piv = pivots(rows)
+        if piv and 1 <= free.dim - len(piv) <= max_dim:
+            return _decided_reference(
+                free, lambda: submodule_quotient(free, submodule(free, gens))[0], rows, piv)
+    simple = quiver_simple(algebra, rng.randrange(nv))
+    return _decided_reference(simple, lambda: simple)
+
+
+def _decided_reference(module: Module, build, rows: Mat | None = None,
+                       piv: tuple[int, ...] = ()):
+    """The draw of module / span(rows.T): rank_of(g) lifts g off the pivots."""
+    field = module.field
+    rest = sorted(set(range(module.dim)) - set(piv))
+
+    def rank_of(g: Mat) -> int:
+        lift = field.zeros((module.dim, g.ncols))
+        lift[rest] = g.a
+        hit = _moved_rows(module, Mat(field, lift))
+        return rank(hit if rows is None else Mat(field, np.vstack([rows.a, hit.a]))) - len(piv)
+
+    return module.dim - len(piv), rank_of, build
+
+
+def random_filtration_reference(rng: Random, field, max_dim: int = 6, tries: int = 400):
+    """random_filtration with a random_bound_quiver_algebra built for every try."""
+    for _ in range(tries):
+        algebra = random_bound_quiver_algebra(rng, field)
+        dim, rank_of, build = _draw_module_reference(rng, algebra, max_dim)
+        if dim < 3:
+            continue
+        g1 = random_mat(rng, field, dim, 1)
+        if not 1 <= (r1 := rank_of(g1)) <= dim - 2:
+            continue
+        g12 = hstack([g1, random_mat(rng, field, dim, 1)])
+        if not r1 < rank_of(g12) < dim:
+            continue
+        ambient = build()
+        return Filtration(ambient, submodule(ambient, g1), submodule(ambient, g12))
+    raise DegenerateFiltrationError(f"no nondegenerate filtration in {tries} tries")

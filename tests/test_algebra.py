@@ -26,6 +26,7 @@ from roofext.algebra import (
     Module,
     ModuleHom,
     _hom_matrix,
+    _quiver_table,
     bound_quiver_algebra,
     direct_sum,
     free_module,
@@ -169,7 +170,8 @@ def test_quiver_algebra_composition_rule():
 def test_quiver_algebra_matches_path_pair_reference(field):
     """Every quiver with 2-3 vertices and 1-3 arrows, bound at length 2 and 3:
     the structure constants, unit, radical, quiver data and label are those
-    of the path-pair-by-path-pair construction."""
+    of the path-pair-by-path-pair construction, and _quiver_table is the
+    table of the free module."""
     for nv in (2, 3):
         edges = [(s, t) for s in range(nv) for t in range(nv)]
         for na in (1, 2, 3):
@@ -181,11 +183,25 @@ def test_quiver_algebra_matches_path_pair_reference(field):
                     assert (alg.mult.dtype, alg.unit.dtype) == (ref.mult.dtype, ref.unit.dtype)
                     assert alg.radical == ref.radical and alg.quiver == ref.quiver
                     assert alg.label == ref.label
+                    # the table random_filtration decides on, unbuilt
+                    table = _quiver_table(field, nv, list(arrows), nil)
+                    stacked = free_module(alg, 1)._blocks()[2]
+                    assert (table.shape, table.dtype) == (stacked.shape, stacked.dtype)
+                    assert table.tolist() == stacked.tolist()
 
 
 def test_quiver_algebra_rejects_arrows_off_the_quiver():
     with pytest.raises(ValueError, match="join vertices"):
         bound_quiver_algebra(F2, 2, [(0, 2)])
+
+
+def test_quiver_simple_rejects_a_vertex_off_the_quiver():
+    alg = bound_quiver_algebra(F2, 2, [(0, 1)])
+    for vertex in (-1, 2):
+        with pytest.raises(ValueError, match=f"no quiver with a vertex {vertex}"):
+            quiver_simple(alg, vertex)
+    with pytest.raises(ValueError, match="no quiver"):
+        quiver_simple(truncated_polynomial_algebra(F2, 2), 0)
 
 
 def test_random_quiver_algebras_are_associative(rng):
@@ -455,6 +471,15 @@ from roofext.linalg import GF
 real = instances.submodule
 instances.submodule = lambda m, g: real(m, g.take_cols([0]))  # F2 built without g2
 instances.random_filtration(Random(0xD1A5), GF(2))
+""",
+    "filtration-ambient-built-off-its-table": """
+from random import Random
+import roofext.instances as instances
+from roofext.linalg import GF
+instances.submodule_quotient = lambda m, incl: (m, None, None)  # G built as the free module
+rng = Random(0xD1A5)
+for _ in range(20):
+    instances.random_filtration(rng, GF(3))
 """,
     "extension-class-off-the-syzygies": """
 import roofext.ext as ext

@@ -4,8 +4,9 @@ import hashlib
 from random import Random
 
 import pytest
-from helpers import ses_chain_reference
+from helpers import random_filtration_reference, ses_chain_reference
 
+import roofext.algebra as algebra_module
 import roofext.instances as instances
 from roofext.algebra import _closure, free_module, random_bound_quiver_algebra
 from roofext.complexes import cohomology
@@ -106,7 +107,7 @@ def test_top_test_says_generates_exactly_when_the_closure_is_everything(field, s
         gens = random_mat(rng, field, free.dim, rng.randint(1, 3)).a.copy()
         gens[[rng.random() < 0.4 for _ in range(free.dim)]] = 0  # leave some vertices unhit
         gens = Mat(field, gens)
-        generates = instances._generates_regular(algebra, gens)
+        generates = instances._generates_regular(algebra.quiver["vertices"], gens)
         assert generates == (_closure(free, gens)[0].ncols == free.dim)
         seen.add(generates)
     assert seen == {True, False}
@@ -286,6 +287,35 @@ def test_ses_sampler_builds_only_the_modules_it_checks(monkeypatch):
     assert lazy < eager
 
 
+@pytest.mark.parametrize("name, count", [("f2", 60), ("f3", 60), ("f5", 60), ("q", 20)])
+def test_filtration_sampler_builds_one_algebra_per_filtration(monkeypatch, name, count):
+    """Deciding every try on the quiver shape's regular table gives the
+    filtrations, give-ups and final rng state of building every try's algebra,
+    and builds one algebra per filtration returned."""
+
+    def draw(sampler, rng):
+        try:
+            return filtration_to_json(sampler(rng, field))
+        except DegenerateFiltrationError:  # a give-up still leaves an rng state
+            return None
+
+    built = []
+    real = algebra_module.bound_quiver_algebra
+    monkeypatch.setattr(algebra_module, "bound_quiver_algebra",
+                        lambda *a: built.append(1) or real(*a))
+    monkeypatch.setattr(instances, "bound_quiver_algebra", algebra_module.bound_quiver_algebra)
+    field = field_from_name(name)
+    runs = []
+    for sampler in (random_filtration, random_filtration_reference):
+        built.clear()
+        rng = Random(0xF117 + count)
+        docs = [draw(sampler, rng) for _ in range(count)]
+        runs.append((docs, rng.getstate(), len(built)))
+    (docs, state, algebras), (ref_docs, ref_state, ref_algebras) = runs
+    assert dump_canonical(docs) == dump_canonical(ref_docs) and state == ref_state
+    assert algebras == count - docs.count(None) > 0 and ref_algebras >= 10 * algebras
+
+
 def test_filtration_sampler_checks_what_it_built(monkeypatch):
     # A submodule that drops g2 builds F2 = F1, against the ranks decided.
     real = instances.submodule
@@ -318,7 +348,7 @@ def test_decided_rank_is_the_built_rank(field):
     for t in range(40):
         algebra = random_bound_quiver_algebra(rng, field)
         # tries=0 skips the quotient draws: the free draw or the simple fallback
-        dim, rank_of, build = instances._draw_module(rng, algebra, 6, 64 if t % 4 else 0)
+        dim, rank_of, build = instances._draw_over(rng, algebra, 6, 64 if t % 4 else 0)
         module = build()
         branches.add(_branch(module))
         for cols in (1, 2):
