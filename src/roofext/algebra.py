@@ -207,6 +207,12 @@ class Module:
         """[e_0 vecs | e_1 vecs | ...]: every basis vector's action, side by side."""
         return self._apply(self._blocks()[2], self.algebra.dim, vecs)
 
+    def actions(self) -> Mat:
+        """act_all(identity) = [A_0 | A_1 | ...], computed once per module."""
+        if "actions" not in self._cache:
+            self._cache["actions"] = self.act_all(Mat.identity(self.field, self.dim))
+        return self._cache["actions"]
+
     @staticmethod
     def from_act_all(algebra: Algebra, hit: Mat, label: str = "") -> "Module":
         """Explicit module whose action matrices sit side by side in hit, as
@@ -262,7 +268,7 @@ class ModuleHom:
     def validate(self) -> None:
         """One comparison: [A_0 F | A_1 F | ...] = F [B_0 | B_1 | ...]."""
         m = self.source.dim
-        moved = self.matrix @ self.source.act_all(Mat.identity(self.source.field, m))
+        moved = self.matrix @ self.source.actions()
         bad = self.target.act_all(self.matrix).a != moved.a
         if bad.any():
             i = int(np.flatnonzero(bad.any(axis=0))[0]) // m
@@ -463,7 +469,7 @@ def hom_space(source: Module, target: Module) -> list[ModuleHom]:
 
 def direct_sum(mods: list[Module]):
     """Direct sum with injection and projection homs: each summand's
-    act_all(identity) fills its diagonal block of every action matrix, and
+    actions() fill its diagonal block of every action matrix, and
     the injections and projections are slices of one identity."""
     if not mods:
         raise ValueError("empty direct sum needs an algebra; use a zero module")
@@ -473,8 +479,8 @@ def direct_sum(mods: list[Module]):
     offs = np.cumsum([0] + [m.dim for m in mods]).tolist()
     action = field.zeros((n, offs[-1], offs[-1]))
     for m, o in zip(mods, offs):
-        if m.dim:  # act_all(identity) is [A_0 | A_1 | ...]
-            hit = m.act_all(Mat.identity(field, m.dim)).a.reshape(m.dim, n, m.dim)
+        if m.dim:  # actions() is [A_0 | A_1 | ...]
+            hit = m.actions().a.reshape(m.dim, n, m.dim)
             action[:, o:o + m.dim, o:o + m.dim] = hit.transpose(1, 0, 2)
     amb = Module(algebra, action=[Mat._of(field, action[i]) for i in range(n)])
     eye = Mat.identity(field, offs[-1]).a

@@ -5,6 +5,12 @@ are validated (d*d = 0) at construction.  The shift convention is
 (X[k])^n = X^(n+k) with d_(X[k]) = (-1)^k d_X, fixed here once and relied
 on by the roof calculus.
 
+A complex stores only its nonzero differentials, and chain maps and
+homotopies only their nonzero components: an absent entry is zero.
+Validation, composition, differences, homotopy boundaries and equality
+iterate the stored entries, so no zero map is built for a missing degree;
+diff() and comp() still hand one out to callers that ask.
+
 Cohomology comes with canonical coordinates: a matrix of representative
 cocycles and a projection that kills coboundaries, both derived from
 reduced echelon forms so that independently computed classes of the same
@@ -89,11 +95,12 @@ class Complex:
             if m.algebra != self.algebra:
                 raise SchemaError(f"object in degree {n} lives over a different algebra")
         for n, d in diffs.items():
-            if d.source != objects.get(n) or d.target.dim != self.obj(n + 1).dim:
+            if d.source != objects.get(n) or d.target.dim != self.obj(n + 1).dim \
+                    or n in self.diffs and d.target != self.obj(n + 1):
                 raise SchemaError(f"differential at degree {n} has wrong endpoints")
-        for n in range(self.lo, self.hi):
-            comp = self.diff(n + 1) @ self.diff(n)
-            if not comp.is_zero():
+        for n, d in sorted(self.diffs.items()):
+            nxt = self.diffs.get(n + 1)
+            if nxt is not None and not (nxt @ d).is_zero():
                 raise SchemaError(f"d*d != 0 between degrees {n} and {n + 2}")
 
     def obj(self, n: int) -> Module:
@@ -126,8 +133,12 @@ class Complex:
                 tuple(self.diff(n).matrix.key() for n in range(self.lo, self.hi)))
 
     def __eq__(self, other):
+        """Equal keys, decided on the stored parts without building a key."""
         return other is self or isinstance(other, Complex) \
-            and self.algebra == other.algebra and self.key() == other.key()
+            and self.algebra == other.algebra and (self.lo, self.hi) == (other.lo, other.hi) \
+            and all(m == other.objects[n] for n, m in self.objects.items()) \
+            and self.diffs.keys() == other.diffs.keys() \
+            and all(d.matrix == other.diffs[n].matrix for n, d in self.diffs.items())
 
     def __hash__(self):
         return hash(self.key())
@@ -140,13 +151,20 @@ class Complex:
 def shift(x: Complex, k: int) -> Complex:
     """Shift by k: objects move down by k, differential picks up (-1)^k."""
     objects = {n - k: x.obj(n) for n in x.degrees()}
-    sign = 1 if k % 2 == 0 else -1
-    diffs = {}
-    for n in range(x.lo, x.hi):
-        d = x.diff(n)
-        if not d.is_zero():
-            diffs[n - k] = ModuleHom(d.source, d.target, d.matrix.scale(sign), check=False)
+    diffs = {n - k: -d if k % 2 else d for n, d in x.diffs.items()}
     return Complex(x.algebra, objects, diffs, check=False)
+
+
+def _mul(f: ModuleHom | None, g: ModuleHom | None) -> Mat | None:
+    """The matrix of f @ g, or None (zero) when a factor is absent."""
+    return None if f is None or g is None else f.matrix @ g.matrix
+
+
+def _agree(a: Mat | None, b: Mat | None) -> bool:
+    """a == b, where None stands for zero."""
+    if a is None:
+        return b is None or b.is_zero()
+    return a.is_zero() if b is None else a == b
 
 
 class ChainMap:
@@ -167,39 +185,32 @@ class ChainMap:
         return ModuleHom.zero(self.source.obj(n), self.target.obj(n))
 
     def validate(self) -> None:
+        """The square at n involves f^n and f^(n+1): where both are absent it
+        reads 0 = 0, so only the squares at n and n - 1 of each component count."""
         for n, f in self.comps.items():
-            if f.source.dim != self.source.obj(n).dim or f.target.dim != self.target.obj(n).dim:
+            if f.source != self.source.obj(n) or f.target != self.target.obj(n):
                 raise SchemaError(f"component at degree {n} has wrong endpoints")
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for n in range(lo, hi):
-            lhs = self.target.diff(n) @ self.comp(n)
-            rhs = self.comp(n + 1) @ self.source.diff(n)
-            if lhs.matrix != rhs.matrix:
+        dx, dy, c = self.source.diffs, self.target.diffs, self.comps
+        for n in sorted({*c, *(n - 1 for n in c)}):
+            if not _agree(_mul(dy.get(n), c.get(n)), _mul(c.get(n + 1), dx.get(n))):
                 raise SchemaError(f"square at degree {n} does not commute")
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         if other.target != self.source:
             raise ValueError("chain map composition endpoint mismatch")
-        comps = {}
-        for n in other.source.degrees():
-            m = self.comp(n) @ other.comp(n)
-            if not m.is_zero():
-                comps[n] = m
+        comps = {n: self.comps[n] @ g for n, g in other.comps.items() if n in self.comps}
         return ChainMap(other.source, self.target, comps, check=False)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        comps = {}
-        for n in range(min(self.source.lo, other.source.lo),
-                       max(self.source.hi, other.source.hi) + 1):
-            comps[n] = self.comp(n) - other.comp(n)
+        comps = dict(self.comps)
+        for n, g in other.comps.items():
+            comps[n] = comps[n] - g if n in comps else -g
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def shift(self, k: int) -> "ChainMap":
-        src = shift(self.source, k)
-        tgt = shift(self.target, k)
-        comps = {n - k: f for n, f in self.comps.items()}
-        return ChainMap(src, tgt, comps, check=False)
+    def shift(self, k: int, source: Complex, target: Complex) -> "ChainMap":
+        """The map between the k-fold shifts, re-indexed onto source and
+        target, the k-fold shifts of this map's own ends."""
+        return ChainMap(source, target, {n - k: f for n, f in self.comps.items()}, check=False)
 
     @staticmethod
     def zero(source: Complex, target: Complex) -> "ChainMap":
@@ -218,8 +229,8 @@ class ChainMap:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        degs = set(self.comps) | set(other.comps)
-        return all(self.comp(n).matrix == other.comp(n).matrix for n in degs)
+        return self.comps.keys() == other.comps.keys() and all(
+            f.matrix == other.comps[n].matrix for n, f in self.comps.items())
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -240,12 +251,14 @@ class Homotopy:
         return ModuleHom.zero(self.source.obj(n), self.target.obj(n - 1))
 
     def boundary(self) -> ChainMap:
-        """The chain map dh + hd that this homotopy bounds."""
-        comps = {}
-        for n in self.source.degrees():
-            m = (self.target.diff(n - 1) @ self.comp(n)) + (self.comp(n + 1) @ self.source.diff(n))
-            if not m.is_zero():
-                comps[n] = m
+        """The chain map dh + hd that this homotopy bounds: h^n adds d h^n in
+        degree n and h^n d in degree n - 1, where those differentials exist."""
+        comps: dict[int, ModuleHom] = {}
+        for n, h in self.comps.items():
+            dy, dx = self.target.diffs.get(n - 1), self.source.diffs.get(n - 1)
+            for m, t in ((n, dy and dy @ h), (n - 1, dx and h @ dx)):
+                if t is not None:
+                    comps[m] = comps[m] + t if m in comps else t
         return ChainMap(self.source, self.target, comps, check=False)
 
 
@@ -301,8 +314,9 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoReport:
         hy = yn - ry.get(n, 0) - ry.get(n - 1, 0)
         r = 0
         if hx and hy:
-            block = block_matrix(x.algebra.field, [x1, yn], [xn, y0], {
-                (0, 0): x.diff(n).matrix, (1, 0): f.comp(n).matrix, (1, 1): y.diff(n - 1).matrix})
+            parts = {(0, 0): x.diffs.get(n), (1, 0): f.comps.get(n), (1, 1): y.diffs.get(n - 1)}
+            block = block_matrix(x.algebra.field, [x1, yn], [xn, y0],
+                                 {rc: h.matrix for rc, h in parts.items() if h is not None})
             r = rank(block) - rx.get(n, 0) - ry.get(n - 1, 0)
         degrees[n] = (hx, hy, r)
     return QuasiIsoReport(all(hx == hy == r for hx, hy, r in degrees.values()), degrees)

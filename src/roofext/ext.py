@@ -230,7 +230,7 @@ def _hom_delta(N: Module, rk: int, g: Mat) -> Mat:
     field, nn, a = N.field, N.dim, N.algebra.dim
     c = g.ncols
     coeffs = g.a.T.reshape(c * rk, a)
-    hit = N.act_all(Mat.identity(field, nn)).a  # [N_0 | N_1 | ...]
+    hit = N.actions().a  # [N_0 | N_1 | ...]
     acts = hit.reshape(nn, a, nn).transpose(1, 0, 2).reshape(a, nn * nn)
     out = _dot(field, coeffs, acts).reshape(c, rk, nn, nn).transpose(0, 2, 1, 3)
     return Mat(field, out.reshape(c * nn, rk * nn))

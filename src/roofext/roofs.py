@@ -64,8 +64,12 @@ class Roof:
                 raise SchemaError("the denominator leg is not a quasi-isomorphism")
 
     def shift(self, k: int) -> "Roof":
-        return Roof(shift(self.source, k), shift(self.target, k), shift(self.apex, k),
-                    self.s.shift(k), self.g.shift(k), check=False)
+        """The roof between the k-fold shifts.  Source, target and apex are
+        each shifted once and both legs are re-indexed onto those objects, so
+        the shifted legs start at the shifted apex itself."""
+        src, tgt, apex = (shift(c, k) for c in (self.source, self.target, self.apex))
+        return Roof(src, tgt, apex, self.s.shift(k, apex, src), self.g.shift(k, apex, tgt),
+                    check=False)
 
     def __repr__(self):
         return f"Roof({self.source!r} => {self.target!r})"
@@ -120,14 +124,16 @@ def compose_roofs(r1: Roof, r2: Roof) -> Roof:
     dims = {n: [z1.obj(n).dim, z2.obj(n).dim, mid.obj(n - 1).dim] for n in sums}
     diffs = {}
     for n in range(lo, hi):
+        parts = {(0, 0): z1.diffs.get(n), (1, 1): z2.diffs.get(n), (2, 0): u.comps.get(n),
+                 (2, 1): v.comps.get(n), (2, 2): mid.diffs.get(n - 1)}
         mat = block_matrix(algebra.field, dims[n + 1], dims[n], {
-            (0, 0): z1.diff(n).matrix, (1, 1): z2.diff(n).matrix, (2, 0): u.comp(n).matrix,
-            (2, 1): -v.comp(n).matrix, (2, 2): -mid.diff(n - 1).matrix})
+            (r, c): -h.matrix if r == 2 and c else h.matrix
+            for (r, c), h in parts.items() if h is not None})
         diffs[n] = ModuleHom(sums[n][0], sums[n + 1][0], mat, check=False)
     apex = Complex(algebra, {n: sums[n][0] for n in sums}, diffs, check=True)
     p1 = ChainMap(apex, z1, {n: sums[n][2][0] for n in apex.degrees()}, check=True)
     p2 = ChainMap(apex, z2, {n: sums[n][2][1] for n in apex.degrees()}, check=True)
-    witness = Homotopy(apex, mid, {n: sums[n][2][2] for n in apex.degrees()})
+    witness = Homotopy(apex, mid, {n: sums[n][2][2] for n in apex.degrees() if dims[n][2]})
     if witness.boundary() != (u @ p1) - (v @ p2):
         raise InvariantError("homotopy pullback witness fails to bound the square")
     return Roof(r1.source, r2.target, apex, r1.s @ p1, r2.g @ p2)

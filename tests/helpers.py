@@ -21,6 +21,13 @@ package's earlier constructions, kept as oracles for is_quasi_iso,
 direct_sum, _hom_matrix, bound_quiver_algebra, ext._ExtSpace,
 ext._greedy_generators, instances._random_ses_chain and
 instances.random_filtration.
+
+The dense references of the complex layer (chain_map_validate_reference,
+chain_map_compose_reference, chain_map_sub_reference, boundary_reference,
+complex_validate_reference, complex_eq_reference) walk every degree of the
+range and build a zero map through diff()/comp() for each absent entry, as
+the complex layer did before it iterated stored components only; equality
+is key equality.
 """
 
 from dataclasses import dataclass
@@ -31,8 +38,8 @@ import numpy as np
 from roofext.algebra import (
     Algebra, Filtration, Module, ModuleHom, free_module, hom_space, quiver_simple,
     random_bound_quiver_algebra, submodule, submodule_quotient)
-from roofext.complexes import ChainMap, Complex, QuasiIsoReport, cohomology
-from roofext.errors import DegenerateFiltrationError
+from roofext.complexes import ChainMap, Complex, Homotopy, QuasiIsoReport, cohomology
+from roofext.errors import DegenerateFiltrationError, SchemaError
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
 from roofext.instances import random_ext_element, random_module
 from roofext.linalg import (
@@ -379,3 +386,54 @@ def random_filtration_reference(rng: Random, field, max_dim: int = 6, tries: int
         ambient = build()
         return Filtration(ambient, submodule(ambient, g1), submodule(ambient, g12))
     raise DegenerateFiltrationError(f"no nondegenerate filtration in {tries} tries")
+
+
+def chain_map_validate_reference(f: ChainMap) -> None:
+    """ChainMap.validate on every square of the joint degree range."""
+    for n, c in f.comps.items():
+        if c.source.dim != f.source.obj(n).dim or c.target.dim != f.target.obj(n).dim:
+            raise SchemaError(f"component at degree {n} has wrong endpoints")
+    for n in range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi)):
+        lhs = f.target.diff(n) @ f.comp(n)
+        rhs = f.comp(n + 1) @ f.source.diff(n)
+        if lhs.matrix != rhs.matrix:
+            raise SchemaError(f"square at degree {n} does not commute")
+
+
+def chain_map_compose_reference(f: ChainMap, g: ChainMap) -> ChainMap:
+    """f @ g, one product per degree of g's source."""
+    comps = {n: f.comp(n) @ g.comp(n) for n in g.source.degrees()}
+    return ChainMap(g.source, f.target, comps, check=False)
+
+
+def chain_map_sub_reference(f: ChainMap, g: ChainMap) -> ChainMap:
+    """f - g, one difference per degree of either source."""
+    comps = {n: f.comp(n) - g.comp(n) for n in range(min(f.source.lo, g.source.lo),
+                                                     max(f.source.hi, g.source.hi) + 1)}
+    return ChainMap(f.source, f.target, comps, check=False)
+
+
+def boundary_reference(h: Homotopy) -> ChainMap:
+    """dh + hd, both terms in every degree of the source."""
+    comps = {n: (h.target.diff(n - 1) @ h.comp(n)) + (h.comp(n + 1) @ h.source.diff(n))
+             for n in h.source.degrees()}
+    return ChainMap(h.source, h.target, comps, check=False)
+
+
+def complex_validate_reference(algebra: Algebra, objects: dict, diffs: dict) -> None:
+    """Complex validation with d^(n+1) d^n formed in every degree of the range."""
+    x = Complex(algebra, objects, diffs, check=False)
+    for n, m in objects.items():
+        if m.algebra != algebra:
+            raise SchemaError(f"object in degree {n} lives over a different algebra")
+    for n, d in diffs.items():
+        if d.source != objects.get(n) or d.target.dim != x.obj(n + 1).dim:
+            raise SchemaError(f"differential at degree {n} has wrong endpoints")
+    for n in range(x.lo, x.hi):
+        if not (x.diff(n + 1) @ x.diff(n)).is_zero():
+            raise SchemaError(f"d*d != 0 between degrees {n} and {n + 2}")
+
+
+def complex_eq_reference(a: Complex, b: Complex) -> bool:
+    """Complex equality as key equality."""
+    return a is b or a.algebra == b.algebra and a.key() == b.key()

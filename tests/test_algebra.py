@@ -39,6 +39,7 @@ from roofext.algebra import (
     truncated_polynomial_algebra,
     vector_space_module,
 )
+from roofext.complexes import zero_module
 from roofext.errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
 from roofext.ext import hom_from_free
 from roofext.instances import kx3_filtration, kx3_regular, kx3_simple, random_module
@@ -504,6 +505,22 @@ def shifted(*args):  # a lift off by the all-ones images
 ext._lift_along = shifted
 ext.yoneda_product(a, b)
 """,
+    "roof-witness-off-by-one-block": """
+import numpy as np
+import roofext.roofs as roofs
+from roofext.algebra import ModuleHom, direct_sum
+from roofext.instances import ka3_first_step, ka3_second_step
+from roofext.linalg import GF, Mat
+def shifted(mods):  # the witness projection reads the block-width of columns before its own
+    amb, injs, projs = direct_sum(mods)
+    p = projs[-1].matrix
+    rolled = Mat(p.field, np.roll(p.a, -mods[-1].dim, axis=1))
+    return amb, injs, projs[:-1] + [ModuleHom(amb, mods[-1], rolled, check=False)]
+roofs.direct_sum = shifted
+F3 = GF(3)
+roofs.compose_roofs(roofs.ses_to_roof(ka3_first_step(F3)),
+                    roofs.ses_to_roof(ka3_second_step(F3)).shift(1))
+""",
 }
 
 
@@ -559,6 +576,22 @@ def test_direct_sum_matches_block_diag_reference(field):
             mats += [h.matrix for h in injs + projs]
             assert not any(m.a.flags.writeable for m in mats)
             assert all(m.a.dtype == want.act_mat(0).a.dtype for m in mats)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_module_actions_are_act_all_of_the_identity(field):
+    """Module.actions(), computed once per module, is act_all(identity) in
+    values, shape and dtype, and read-only."""
+    rng = Random(0xAC75)
+    for _ in range(4):
+        alg = random_bound_quiver_algebra(rng, field)
+        mods = [free_module(alg, r) for r in range(3)]
+        mods += [random_module(rng, alg), quiver_simple(alg, 0), zero_module(alg)]
+        for m in mods:
+            got, want = m.actions(), m.act_all(Mat.identity(field, m.dim))
+            assert got.shape == want.shape == (m.dim, alg.dim * m.dim)
+            assert got == want and got.a.dtype == want.a.dtype
+            assert not got.a.flags.writeable and m.actions() is got
 
 
 def test_vector_space_module():

@@ -11,7 +11,16 @@ from random import Random
 
 import pytest
 
-from helpers import chain_map_data, quasi_iso_reference
+from helpers import (
+    boundary_reference,
+    chain_map_compose_reference,
+    chain_map_data,
+    chain_map_sub_reference,
+    chain_map_validate_reference,
+    complex_eq_reference,
+    complex_validate_reference,
+    quasi_iso_reference,
+)
 from roofext.algebra import (
     Module,
     ModuleHom,
@@ -23,6 +32,7 @@ from roofext.algebra import (
 from roofext.complexes import (
     ChainMap,
     Complex,
+    Homotopy,
     cohomology,
     cone,
     find_homotopy,
@@ -33,6 +43,9 @@ from roofext.complexes import (
 )
 from roofext.errors import InvariantError, SchemaError
 from roofext.instances import (
+    _random_hom,
+    ka3_first_step,
+    ka3_second_step,
     kx3_regular,
     kx3_simple,
     random_complex,
@@ -183,6 +196,88 @@ def _roof_legs(rng, field):
     bottom, top = filtration_sequences(random_filtration(rng, field))
     r1, r2 = ses_to_roof(top), ses_to_roof(bottom).shift(1)
     return [leg for r in (r1, r2, compose_roofs(r1, r2)) for leg in (r.s, r.g)]
+
+
+def _verdict(check, *args):
+    """(exception type, message) of a check, or None when it passes."""
+    try:
+        check(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+def _mats(f: ChainMap) -> dict:
+    return {n: c.matrix for n, c in f.comps.items()}
+
+
+def _random_homotopy(rng, x, y) -> Homotopy:
+    comps = {n: _random_hom(rng, x.obj(n), y.obj(n - 1)) for n in x.degrees()}
+    return Homotopy(x, y, {n: h for n, h in comps.items() if not h.is_zero()})
+
+
+def _dropped_components(x):
+    """The identity of x without its component in degree m, for each m next
+    to a differential: the squares at m - 1 and m then have one side absent,
+    and at least one of them fails."""
+    return [ChainMap(x, x, {n: ModuleHom.identity(x.obj(n)) for n in x.degrees() if n != m},
+                     check=False) for m in x.degrees() if m in x.diffs or m - 1 in x.diffs]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["f2", "f3", "f5", "q"])
+def test_sparse_operations_match_dense_references(field):
+    """Validation, @, -, boundaries and == on stored components against the
+    dense references that build a zero map for every absent degree."""
+    rng = Random(0x5BA5)
+    showcase = (ses_to_roof(ka3_first_step(field)), ses_to_roof(ka3_second_step(field)).shift(1))
+    maps = [leg for r in (*showcase, compose_roofs(*showcase)) for leg in (r.s, r.g)]
+    maps += _roof_legs(Random(0x9150), field)
+    homotopies, d2 = [], set()
+    for t in range(6):
+        alg = (truncated_polynomial_algebra(field, 3) if t % 2
+               else random_bound_quiver_algebra(rng, field))
+        x, y = random_complex(rng, alg, max_dim=4), random_complex(rng, alg, max_dim=4)
+        data = chain_map_data(x, y)
+        maps += [ChainMap.identity(x), ChainMap.zero(x, y), *_summand_maps([x, y]),
+                 *(data.random_chain_map(rng)[0] for _ in range(2)), *_dropped_components(x)]
+        homotopies += [_random_homotopy(rng, x, y), _random_homotopy(rng, y, x),
+                       find_homotopy(ChainMap.identity(cone(ChainMap.identity(x))))]
+        for m, gap in ((x.obj(x.lo), True), (y.obj(y.hi), False)):  # d*d on random maps
+            objects = dict.fromkeys(range(4), m)
+            diffs = {n: _random_hom(rng, m, m) for n in range(3)}
+            if gap:
+                diffs[1] = ModuleHom.zero(m, m)
+            got = _verdict(Complex, alg, objects, diffs)
+            assert got == _verdict(complex_validate_reference, alg, objects, diffs)
+            d2.add(got is None)
+    assert d2 == {True, False}
+
+    verdicts = [_verdict(f.validate) for f in maps]
+    assert verdicts == [_verdict(chain_map_validate_reference, f) for f in maps]
+    assert None in verdicts and any(verdicts)
+    for f in maps:
+        for g in maps:
+            if g.target == f.source:
+                assert _mats(f @ g) == _mats(chain_map_compose_reference(f, g))
+            if (g.source, g.target) == (f.source, f.target):
+                assert _mats(f - g) == _mats(chain_map_sub_reference(f, g))
+    for h in homotopies:
+        assert _mats(h.boundary()) == _mats(boundary_reference(h))
+
+    complexes = [c for f in maps for c in (f.source, f.target)]
+    complexes += [shift(shift(c, 1), -1) for c in complexes[::4]]
+    complexes += [Complex(c.algebra, c.objects, {n: -d for n, d in c.diffs.items()},
+                          check=False) for c in complexes[::3]]
+    for c in complexes:
+        assert _verdict(Complex, c.algebra, c.objects, c.diffs) is None
+        assert _verdict(complex_validate_reference, c.algebra, c.objects, c.diffs) is None
+    outcomes = set()
+    for a in complexes:
+        for b in complexes:
+            same = a.key() == b.key()
+            assert (a == b) == complex_eq_reference(a, b) == same
+            outcomes.add((a is b, same))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["f2", "f3", "f5", "q"])

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from roofext.algebra import Module, ModuleHom, submodule
-from roofext.complexes import ChainMap, Complex, is_quasi_iso, zero_module
+from roofext.complexes import ChainMap, Complex, is_quasi_iso, shift, zero_module
 from roofext.errors import (
     DegenerateFiltrationError,
     MiddleMismatchError,
@@ -167,6 +167,33 @@ def test_composite_matches_product_on_ka3():
     want = yoneda_product(class_of_extension(e_top), class_of_extension(e_bot))
     assert not want.is_zero()
     assert got == want
+
+
+@pytest.mark.parametrize("case", ["ka3", "lemma-fp"])
+def test_compose_roofs_builds_no_zero_map_and_no_key(case, monkeypatch):
+    """compose_roofs reads stored components only: it builds no zero map and
+    no complex key.  A shifted roof has one apex, where both legs start."""
+    if case == "ka3":
+        e1, e2 = ka3_first_step(QQ), ka3_second_step(QQ)
+    else:  # the first lemma-fp draw at its pinned seed, composed as filtration_two_class does
+        e2, e1 = filtration_sequences(random_filtration(Random(0xACCE551), F2, max_dim=6))
+    r1 = ses_to_roof(e1)
+    for k in (1, -3):
+        r = ses_to_roof(e2).shift(k)
+        assert r.s.source is r.apex and r.g.source is r.apex
+        assert r.s.target is r.source and r.g.target is r.target
+        assert r.apex == shift(ses_to_roof(e2).apex, k)
+    r2 = ses_to_roof(e2).shift(1)
+    calls = []
+    zero, key = ModuleHom.zero, Complex.key
+    monkeypatch.setattr(ModuleHom, "zero", staticmethod(
+        lambda *a: calls.append("zero") or zero(*a)))
+    monkeypatch.setattr(Complex, "key", lambda self: calls.append("key") or key(self))
+    composite = compose_roofs(r1, r2)
+    assert calls == []
+    composite.apex.diff(composite.apex.hi)  # the counters are live
+    hash(composite.apex)
+    assert calls == ["zero", "key"]
 
 
 def test_composite_keeps_zero_objects_shared():
