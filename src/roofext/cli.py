@@ -75,8 +75,11 @@ def _document(token: str) -> dict:
 def _emit(chunks: list[str], out_path: str | None) -> None:
     data = "".join(chunks)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(data)
 
@@ -108,8 +111,8 @@ def _parse_count(text: str) -> int:
 
 
 def cmd_ext(args) -> int:
-    m = jsonio.module_from_json(_document(args.module[0]), where=args.module[0])
-    n = jsonio.module_from_json(_document(args.module[1]), where=args.module[1])
+    m, n = (jsonio.module_from_json(_document(t), where=t, table=args.table)
+            for t in args.module)
     if m.algebra != n.algebra:
         raise MiddleMismatchError("the two modules are over different algebras")
     degrees = sorted(set(args.degree))
@@ -141,9 +144,13 @@ def cmd_ext(args) -> int:
 # -- yoneda --------------------------------------------------------------------
 
 
+def _sequences(args) -> list:
+    return [jsonio.extension_from_json(_document(t), where=t, table=args.table)
+            for t in args.sequence]
+
+
 def cmd_yoneda(args) -> int:
-    e1 = jsonio.extension_from_json(_document(args.sequence[0]), where=args.sequence[0])
-    e2 = jsonio.extension_from_json(_document(args.sequence[1]), where=args.sequence[1])
+    e1, e2 = _sequences(args)
     a = class_of_extension(e1)
     b = class_of_extension(e2)
     product = yoneda_product(a, b)
@@ -181,8 +188,7 @@ def cmd_yoneda(args) -> int:
 
 
 def cmd_roof(args) -> int:
-    e1 = jsonio.extension_from_json(_document(args.sequence[0]), where=args.sequence[0])
-    e2 = jsonio.extension_from_json(_document(args.sequence[1]), where=args.sequence[1])
+    e1, e2 = _sequences(args)
     if e1.degree != 1 or e2.degree != 1:
         raise SchemaError("roof composition works on short exact sequences (degree 1)")
     r1 = ses_to_roof(e1)
@@ -245,7 +251,7 @@ def cmd_lemma_check(args) -> int:
 
     if args.filtration:
         filtrations = [(0, jsonio.filtration_from_json(
-            _document(args.filtration), where=args.filtration))]
+            _document(args.filtration), where=args.filtration, table=args.table))]
         header = {"command": "lemma-check", "source": args.filtration, "count": 1}
     else:
         field = field_from_name(args.field)
@@ -432,6 +438,9 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # the intern table of this invocation: its input documents share equal
+    # algebras and modules (see jsonio); it ends with the call
+    args.table = {}
     try:
         return args.func(args)
     except SchemaError as exc:

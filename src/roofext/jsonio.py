@@ -7,6 +7,17 @@ content hash of an inline one seen earlier in the same document (or
 registry), so multi-module documents do not repeat their structure
 constants.  Malformed input raises SchemaError with the first violated
 invariant named — loaders never assert.
+
+The algebra, module, extension and filtration loaders take an intern
+table: a dict from canonical JSON text to the object loaded from it.  Within
+one table an inline algebra whose canonical text was loaded before is that
+same Algebra, neither parsed nor validated again, and a module with that
+algebra and the same canonical action text is that same Module, so its
+cached resolution and Ext spaces serve every document that names it.  A
+loader called without a table starts a fresh one, which the modules of one
+document share.  The command line keeps one table per invocation, so
+nothing is cached across invocations.  Hash references still resolve only
+against algebras written inline earlier in the same document.
 """
 
 from __future__ import annotations
@@ -121,7 +132,7 @@ def algebra_hash(a: Algebra) -> str:
 
 
 def algebra_from_json(obj, registry: dict[str, Algebra] | None = None,
-                      where: str = "algebra") -> Algebra:
+                      where: str = "algebra", table: dict | None = None) -> Algebra:
     """Inline algebra object, or a hash string resolved through registry."""
     if isinstance(obj, str):
         if registry and obj in registry:
@@ -129,20 +140,25 @@ def algebra_from_json(obj, registry: dict[str, Algebra] | None = None,
         raise SchemaError(f"{where}: algebra hash {obj!r} not seen inline earlier")
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: algebra must be an object or a hash string")
-    field = field_from_name(_need(obj, "field", str, where))
-    n = _need(obj, "dim", int, where)
-    if n < 1:
-        raise SchemaError(f"{where}: algebra dimension must be >= 1")
-    mult = _need(obj, "mult", list, where)
-    if len(mult) != n:
-        raise SchemaError(f"{where}: mult must be an n*n*n array")
-    planes = [mat_from_json(field, plane, n, n, f"{where}.mult[{i}]").a
-              for i, plane in enumerate(mult)]
-    unit = _need(obj, "unit", list, where)
-    unit_mat = mat_from_json(field, [unit], 1, n, where)
-    alg = Algebra(field, planes, unit_mat.a[0], check=True)
+    table = {} if table is None else table
+    text = dump_canonical(obj)
+    if text not in table:
+        field = field_from_name(_need(obj, "field", str, where))
+        n = _need(obj, "dim", int, where)
+        if n < 1:
+            raise SchemaError(f"{where}: algebra dimension must be >= 1")
+        mult = _need(obj, "mult", list, where)
+        if len(mult) != n:
+            raise SchemaError(f"{where}: mult must be an n*n*n array")
+        planes = [mat_from_json(field, plane, n, n, f"{where}.mult[{i}]").a
+                  for i, plane in enumerate(mult)]
+        unit = _need(obj, "unit", list, where)
+        unit_mat = mat_from_json(field, [unit], 1, n, where)
+        alg = Algebra(field, planes, unit_mat.a[0], check=True)
+        table[text] = (alg, algebra_hash(alg))
+    alg, h = table[text]
     if registry is not None:
-        registry[algebra_hash(alg)] = alg
+        registry[h] = alg
     return alg
 
 
@@ -166,25 +182,30 @@ def module_to_json(m: Module, registry: dict[str, Algebra] | None = None) -> dic
 
 
 def module_from_json(obj: dict, registry: dict[str, Algebra] | None = None,
-                     where: str = "module") -> Module:
+                     where: str = "module", table: dict | None = None) -> Module:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: module must be a JSON object")
+    table = {} if table is None else table
     alg = algebra_from_json(_need(obj, "algebra", (dict, str), where),
-                            registry, where=where)
+                            registry, where, table)
     dim = _need(obj, "dim", int, where)
     if dim < 0:
         raise SchemaError(f"{where}: module dimension must be >= 0")
     action_raw = _need(obj, "action", list, where)
-    if len(action_raw) != alg.dim:
-        raise SchemaError(f"{where}: need one action matrix per algebra basis vector")
-    action = [mat_from_json(alg.field, m, dim, dim, f"{where}.action[{i}]")
-              for i, m in enumerate(action_raw)]
-    mod = Module(alg, action=action)
-    try:
-        mod.validate()
-    except SchemaError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    return mod
+    # every algebra of the table stays alive in it, so its id names it
+    key = (id(alg), dim, dump_canonical(action_raw))
+    if key not in table:
+        if len(action_raw) != alg.dim:
+            raise SchemaError(f"{where}: need one action matrix per algebra basis vector")
+        action = [mat_from_json(alg.field, m, dim, dim, f"{where}.action[{i}]")
+                  for i, m in enumerate(action_raw)]
+        mod = Module(alg, action=action)
+        try:
+            mod.validate()
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        table[key] = mod
+    return table[key]
 
 
 # -- complexes ---------------------------------------------------------------
@@ -209,7 +230,8 @@ def complex_from_json(obj: dict, where: str = "complex") -> Complex:
     if len(diff_raw) != hi - lo:
         raise SchemaError(f"{where}: expected {hi - lo} differentials")
     registry: dict[str, Algebra] = {}
-    mods = [module_from_json(o, registry, f"{where}.objects[{i}]")
+    table: dict = {}
+    mods = [module_from_json(o, registry, f"{where}.objects[{i}]", table)
             for i, o in enumerate(objects_raw)]
     if any(m.algebra != mods[0].algebra for m in mods):
         raise SchemaError(f"{where}: all objects must share one algebra")
@@ -233,7 +255,8 @@ def extension_to_json(e: ExtensionSeq) -> dict:
     }
 
 
-def extension_from_json(obj: dict, where: str = "extension") -> ExtensionSeq:
+def extension_from_json(obj: dict, where: str = "extension",
+                        table: dict | None = None) -> ExtensionSeq:
     mods_raw = _need(obj, "mods", list, where)
     maps_raw = _need(obj, "maps", list, where)
     if len(mods_raw) < 3:
@@ -241,7 +264,8 @@ def extension_from_json(obj: dict, where: str = "extension") -> ExtensionSeq:
     if len(maps_raw) != len(mods_raw) - 1:
         raise SchemaError(f"{where}: expected {len(mods_raw) - 1} maps")
     registry: dict[str, Algebra] = {}
-    mods = [module_from_json(m, registry, f"{where}.mods[{i}]")
+    table = {} if table is None else table
+    mods = [module_from_json(m, registry, f"{where}.mods[{i}]", table)
             for i, m in enumerate(mods_raw)]
     if any(m.algebra != mods[0].algebra for m in mods):
         raise SchemaError(f"{where}: all modules must share one algebra")
@@ -265,9 +289,10 @@ def filtration_to_json(f: Filtration) -> dict:
     }
 
 
-def filtration_from_json(obj: dict, where: str = "filtration") -> Filtration:
+def filtration_from_json(obj: dict, where: str = "filtration",
+                         table: dict | None = None) -> Filtration:
     ambient = module_from_json(_need(obj, "ambient", dict, where),
-                               where=f"{where}.ambient")
+                               where=f"{where}.ambient", table=table)
     incls = []
     for name in ("f1", "f2"):
         part = _need(obj, name, dict, where)

@@ -16,6 +16,8 @@ import pytest
 
 import roofext.cli as cli
 import roofext.ext as ext
+from roofext import jsonio
+from roofext.algebra import Algebra, Module
 from roofext.cli import main
 from roofext.errors import AmbiguousChaseError, InvariantError
 from roofext.linalg import Mat
@@ -115,6 +117,110 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch, command, check):
     assert json.loads(out)[check] is False
     rc, out = run(capsys, argv)
     assert rc == 1 and ": False" in out
+
+
+# -- one load per invocation ------------------------------------------------------
+
+
+def _fixture_doc(name: str) -> dict:
+    return json.loads(resources.files("roofext").joinpath("fixtures", name + ".json")
+                      .read_text(encoding="utf-8"))
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Count Algebra.validate, Module.validate, the greedy generator picker
+    and Ext-space constructions from here on."""
+    counts = {"algebra": 0, "module": 0, "greedy": 0, "ext_spaces": 0}
+
+    def counted(owner, attr, name):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(Algebra, "validate", "algebra")
+    counted(Module, "validate", "module")
+    counted(ext, "_greedy_generators", "greedy")
+    counted(ext, "_ExtSpace", "ext_spaces")
+    return counts
+
+
+# Per invocation: the two documents' common algebra is validated once and
+# each distinct module once (kx3's sequences hold only the simple and the
+# middle module), and a shared module is resolved once.
+SHARED_LOAD_COUNTS = {
+    ("roof", "ka3_ses_12", "ka3_ses_23"):
+        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3},
+    ("yoneda", "ka3_ses_12", "ka3_ses_23"):
+        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3},
+    ("roof", "kx3_ses_top", "kx3_ses_bottom"):
+        {"algebra": 1, "module": 2, "greedy": 3, "ext_spaces": 2},
+    ("ext", "kx3_simple", "kx3_simple"):
+        {"algebra": 1, "module": 1, "greedy": 3, "ext_spaces": 3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_LOAD_COUNTS), ids="-".join)
+def test_an_invocation_loads_each_algebra_and_module_once(capsys, monkeypatch, command):
+    counts = _count_calls(monkeypatch)
+    name, *tokens = command
+    assert main([name, *(f"fixture:{t}" for t in tokens), "--json"]) == 0
+    capsys.readouterr()
+    assert counts == SHARED_LOAD_COUNTS[command]
+
+
+def test_one_table_shares_the_middle_module():
+    docs = [_fixture_doc("ka3_ses_12"), _fixture_doc("ka3_ses_23")]
+    table: dict = {}
+    e1, e2 = (jsonio.extension_from_json(d, table=table) for d in docs)
+    assert e1.sub is e2.quotient
+    assert all(m.algebra is e1.sub.algebra for m in e1.mods + e2.mods)
+    # without a table each call starts a fresh one
+    f1, f2 = (jsonio.extension_from_json(d) for d in docs)
+    assert f1.sub is not f2.quotient and f1.sub == f2.quotient
+
+
+def test_identical_invocations_each_validate_their_algebra(capsys, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    argv = ["roof", "fixture:ka3_ses_12", "fixture:ka3_ses_23", "--json"]
+    seen = []
+    for _ in range(2):
+        assert main(argv) == 0
+        seen.append(counts["algebra"])
+    capsys.readouterr()
+    assert seen == [1, 2]
+
+
+def test_hash_references_stay_per_document(capsys, tmp_path):
+    """The second document names the first one's algebra only by hash: the
+    first document loaded it, but hash references resolve within a document."""
+    first, second = _fixture_doc("ka3_ses_12"), _fixture_doc("ka3_ses_23")
+    href = jsonio.algebra_hash(jsonio.algebra_from_json(first["mods"][0]["algebra"]))
+    assert second["mods"][1]["algebra"] == href
+    second["mods"][0]["algebra"] = href
+    path = tmp_path / "second.json"
+    path.write_text(json.dumps(second))
+    assert main(["roof", "fixture:ka3_ses_12", str(path)]) == 2
+    assert "not seen inline earlier" in capsys.readouterr().err
+
+
+def test_documents_over_different_algebras_stay_apart(capsys):
+    assert main(["roof", "fixture:ka3_ses_12", "fixture:kx3_ses_top"]) == 3
+    assert "semantic error" in capsys.readouterr().err
+
+
+def test_a_repeated_algebra_with_a_corrupted_plane_is_validated(capsys, tmp_path):
+    second = _fixture_doc("ka3_ses_23")
+    assert second["mods"][0]["algebra"] == _fixture_doc("ka3_ses_12")["mods"][0]["algebra"]
+    second["mods"][0]["algebra"]["mult"][0][1][1] = "1"
+    path = tmp_path / "second.json"
+    path.write_text(json.dumps(second))
+    assert main(["roof", "fixture:ka3_ses_12", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "fails" in err
 
 
 # -- lemma-check ------------------------------------------------------------------
@@ -324,8 +430,10 @@ def test_repeated_calls_share_no_parsed_state(capsys):
     """The parser is built once per process; each call must still print what
     a call in a fresh process prints."""
     ext = ["ext", "fixture:kx3_simple", "fixture:kx3_simple", "--json"]
-    calls = [ext + ["--degree", "1"], ext, ["lemma-check", "--filtration",
-             "fixture:kx3_filtration"], ext + ["--degree", "1"], ext]
+    pair = ["fixture:ka3_ses_12", "fixture:ka3_ses_23", "--json"]
+    calls = [ext + ["--degree", "1"], ext, ["yoneda", *pair], ["lemma-check",
+             "--filtration", "fixture:kx3_filtration"], ["roof", *pair],
+             ext + ["--degree", "1"], ext]
     fresh = []
     for argv in calls:
         cli._parser.cache_clear()
@@ -461,6 +569,16 @@ def test_out_flag_writes_same_bytes(capsys, tmp_path):
     assert rc == 0
     rc, out = run(capsys, ["projcoh", "P3", "O(3)", "--json"])
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["projcoh", "P2", "O(1)"], "missing/x.json"),
+    (["ext", "fixture:kx3_simple", "fixture:kx3_simple"], "."),
+], ids=["missing-parent", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    assert main(argv + ["--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
 
 
 def _readme_commands() -> list[list[str]]:
