@@ -38,6 +38,7 @@ from .linalg import (
     Mat,
     _dot,
     _kernel,
+    _null_basis,
     block_diag,
     rank,
     rref,
@@ -420,16 +421,20 @@ def submodule(module: Module, gens: Mat, label: str = "") -> ModuleHom:
 
 
 def submodule_quotient(module: Module, incl: ModuleHom | Mat):
-    """Quotient of a module by the image of an inclusion.
+    """Quotient of a module by the image of an inclusion, or by the span of
+    the columns of a matrix.
 
     Returns (quotient module, projection hom, section matrix); the section
     picks representatives for the canonical quotient coordinates and
     satisfies proj @ section = identity.  Raises NotSubmoduleError when the
-    image is not action-stable.
+    image is not action-stable; a redundant spanning set is checked on its
+    span's reduced basis, so it costs no more than a basis.
     """
-    basis = incl.matrix if isinstance(incl, ModuleHom) else incl
-    K, free = _kernel(basis.T)
+    gens = incl.matrix if isinstance(incl, ModuleHom) else incl
+    red, piv = rref(gens.T)
+    K, free = _null_basis(red, piv, module.dim)
     proj = K.T  # canonical quotient coordinates: see the linalg docstring
+    basis = gens if gens.ncols == len(piv) else red.take_rows(range(len(piv))).T
     escaped = (proj @ module.act_all(basis)).a != 0
     if escaped.any():
         i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
@@ -521,11 +526,30 @@ def _quiver_paths(num_vertices: int, arrows: list[tuple[int, int]],
     return paths, mult.reshape(n, n, n)
 
 
-def _quiver_table(field: Field, *shape) -> np.ndarray:
-    """free_module(bound_quiver_algebra(field, *shape), 1)._blocks()[2], unbuilt."""
-    mult = _quiver_paths(*shape)[1]
-    n = len(mult)
-    return field.reduce(mult.transpose(0, 2, 1).reshape(n * n, n))
+# Each quiver shape's left-regular table, kept as the flat positions of its
+# 1s: the table is 0/1 over every field, so one read-only pattern per shape
+# (nv, tuple(arrows), nil_index) serves them all, and as a pattern depends on
+# its key alone, sharing the store cannot change a result.  Only
+# random_filtration reads it, over the 1,806 shapes of _random_quiver_shape's
+# defaults: about 0.4 MB of arrays.
+_TABLE_ONES: dict[tuple, tuple[int, np.ndarray]] = {}
+
+
+def _quiver_table(field: Field, nv: int, arrows: list[tuple[int, int]],
+                  nil_index: int) -> np.ndarray:
+    """free_module(bound_quiver_algebra(field, nv, arrows, nil_index), 1)._blocks()[2],
+    unbuilt: one zeros and one put of the shape's stored pattern of 1s."""
+    key = (nv, tuple(arrows), nil_index)
+    record = _TABLE_ONES.get(key)
+    if record is None:
+        mult = _quiver_paths(nv, arrows, nil_index)[1]
+        ones = np.flatnonzero(mult.transpose(0, 2, 1)).copy()  # not a view of nonzero's output
+        ones.setflags(write=False)
+        record = _TABLE_ONES[key] = (len(mult), ones)
+    n, ones = record
+    table = field.zeros((n * n, n))
+    table.put(ones, 1)
+    return table
 
 
 def bound_quiver_algebra(field: Field, num_vertices: int, arrows: list[tuple[int, int]],

@@ -29,7 +29,9 @@ class MiddleMismatchError(ValueError):
 
 
 class DegenerateFiltrationError(ValueError):
-    """A filtration step is an equality, so a subquotient vanishes."""
+    """A filtration step is an equality, so a subquotient vanishes; also
+    raised by a random sampler (filtration, module or extension chain) that
+    gives up after its tries."""
 
 
 class UnsupportedEndpointsError(ValueError):

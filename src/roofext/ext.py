@@ -256,7 +256,9 @@ class _ExtSpace:
 
 
 def _ext_space(M: Module, N: Module, i: int) -> _ExtSpace:
-    key = ("ext", N.key(), i)
+    """Ext^i(M, N), cached on M under N's identity: the space holds N, so the
+    id is not reused while the entry lives, and no lookup builds N.key()."""
+    key = ("ext", id(N), i)
     space = M._cache.get(key)
     if space is None:
         space = M._cache[key] = _ExtSpace(M, N, i)

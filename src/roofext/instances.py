@@ -10,6 +10,10 @@ so runs are reproducible from a seed.  The rejection samplers decide each
 draw by Nakayama's top test or by ranks in regular-module coordinates (see
 _draw_module), and build only the draw they return: random_filtration
 decides on a quiver shape's table, so it builds one algebra per filtration.
+Per try, the table comes from the shape's stored pattern of 1s (see
+algebra._quiver_table), the top test reads the raw draws before any array
+exists, and a decision computes nothing until its rank or its module is
+asked for; a kept quotient is built from the rows it was decided on.
 """
 
 from __future__ import annotations
@@ -40,7 +44,20 @@ from .algebra import (
 from .complexes import Complex
 from .errors import DegenerateFiltrationError, InvariantError
 from .ext import ExtElement, ExtensionSeq, ext_group, extension_from_class
-from .linalg import QQ, Field, Mat, _dot, block_diag, hstack, pivots, random_mat, rank
+from .linalg import (
+    QQ,
+    Field,
+    Mat,
+    _dot,
+    _draw_offset,
+    _draws_array,
+    _random_draws,
+    block_diag,
+    hstack,
+    pivots,
+    random_mat,
+    rank,
+)
 
 __all__ = [
     "kx3_regular",
@@ -126,11 +143,13 @@ def ka3_second_step(field: Field = QQ) -> ExtensionSeq:
 # -- random generators --------------------------------------------------------
 
 
-def _generates_regular(nv: int, gens: Mat) -> bool:
-    """Nakayama's top test: as A/rad A = k^nv, the columns generate a bound
-    quiver algebra A with nv vertices exactly when each vertex v has a column
-    with a nonzero coordinate on the trivial path e_v (the first basis vectors)."""
-    return all(map(any, gens.a[:nv].tolist()))
+def _generates_regular(nv: int, entries: list, k: int, zero=0) -> bool:
+    """Nakayama's top test on an n x k generator matrix given row by row as
+    entries, zero the entry that stands for 0: as A/rad A = k^nv, the columns
+    generate a bound quiver algebra A with nv vertices exactly when each vertex
+    v has a column with a nonzero coordinate on the trivial path e_v (the first
+    nv rows)."""
+    return all(entries[v * k:(v + 1) * k].count(zero) < k for v in range(nv))
 
 
 def _images(field: Field, stacked: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -147,39 +166,54 @@ def _draw_module(rng: Random, field: Field, nv: int | None, stacked: np.ndarray,
                  algebra: Callable[[], Algebra], max_dim: int = 4, tries: int = 64) -> _Draw:
     """random_module's draw, decided in F = A^1 from A's vertex count nv (None:
     no quiver) and left-regular table stacked; only the builder calls algebra().
-    Generators gens leave G = F / A gens: with rows = [e_s g_j] of rank n, dim G
-    = F.dim - n, the pivots of rows are those of G's canonical closure basis, so
-    the section of submodule_quotient lifts g in G to g off them, 0 on them, and
-    dim A g = rank [rows; e_s lift g] - n."""
+
+    Generators gens leave G = F / A gens.  Nakayama's top test runs on the raw
+    draws, so a draw whose generators span F makes no array.  With rows = [e_s
+    g_j] of rank n, dim G = F.dim - n; G is built as submodule_quotient(F,
+    rows.T), as the canonical quotient depends only on the span of rows.  The
+    pivots of rows are those of that quotient's kernel, so its section lifts g
+    in G to g off them, 0 on them, and dim A g = rank [rows; e_s lift g] - n.
+    Building F checks that stacked is the built algebra's table.  Giving up
+    over an algebra without a quiver raises DegenerateFiltrationError.
+    """
     n = stacked.shape[1]
+
+    def regular() -> Module:
+        free = free_module(algebra(), 1)
+        if not np.array_equal(free._blocks()[2], stacked):
+            raise InvariantError("a module was decided on a table that is not its algebra's")
+        return free
+
     if n <= max_dim and rng.random() < 0.2:
-        return _decided(field, stacked, lambda: free_module(algebra(), 1))
+        return _decided(field, stacked, regular)
+    zero = _draw_offset(field)
     for _ in range(tries):
-        gens = random_mat(rng, field, n, rng.randint(1, max(1, n - 1)))
-        if nv is not None and _generates_regular(nv, gens):
+        k = rng.randint(1, max(1, n - 1))
+        draws = _random_draws(rng, field, n * k)
+        if nv is not None and _generates_regular(nv, draws, k, zero):
             continue
-        rows = Mat._of(field, _images(field, stacked, gens.a))
+        rows = Mat._of(field, _images(field, stacked, _draws_array(field, draws, n, k)))
         piv = pivots(rows)
         if piv and 1 <= n - len(piv) <= max_dim:
-            return _decided(field, stacked, lambda: submodule_quotient(
-                free := free_module(algebra(), 1), submodule(free, gens))[0], rows, piv)
+            return _decided(field, stacked, lambda: submodule_quotient(regular(), rows.T)[0],
+                            rows, piv)
     if nv is not None:
         v = rng.randrange(nv)  # e_i acts on S_v by 1 if i = v, else by 0
         return _decided(field, field.reduce(np.eye(n, 1, -v, dtype=np.int64)),
                         lambda: quiver_simple(algebra(), v))
-    raise RuntimeError("could not draw a small random module")
+    raise DegenerateFiltrationError(f"no small random module in {tries} tries")
 
 
 def _decided(field: Field, stacked: np.ndarray, make: Callable[[], Module],
              rows: Mat | None = None, piv: tuple[int, ...] = ()) -> _Draw:
     """The draw of G = M / span(rows.T), e_i acting on M by the i-th square block
-    of stacked, piv the pivots of rows; build() checks make() gives that dim G."""
-    rest = sorted(set(range(stacked.shape[1])) - set(piv))
-    dim = len(rest)
+    of stacked, piv the pivots of rows; build() checks make() gives that dim G.
+    Nothing is computed until rank_of or build runs."""
+    dim = stacked.shape[1] - len(piv)
 
     def rank_of(g: Mat) -> int:
         lift = field.zeros((stacked.shape[1], g.ncols))
-        lift[rest] = g.a
+        lift[[j for j in range(stacked.shape[1]) if j not in piv]] = g.a
         hit = _images(field, stacked, lift)
         stack = hit if rows is None else np.vstack([rows.a, hit])
         return rank(Mat._of(field, stack)) - len(piv)
@@ -201,7 +235,8 @@ def _draw_over(rng: Random, algebra: Algebra, max_dim: int, tries: int = 64) -> 
 
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
-    """A random quotient of the regular module with 1 <= dim <= max_dim."""
+    """A random quotient of the regular module with 1 <= dim <= max_dim;
+    DegenerateFiltrationError if none is found over an algebra without a quiver."""
     return _draw_over(rng, algebra, max_dim, tries)[2]()
 
 
@@ -255,7 +290,7 @@ def _random_ses_chain(rng: Random, field: Field, length: int,
     so the sub of each sequence is the quotient of the next.  All of them
     are drawn first, but M_(k+1) is built only when the Ext^1 checks reach
     it; building takes no rng, so the draw stream is that of drawing and
-    building each in turn.
+    building each in turn.  Giving up raises DegenerateFiltrationError.
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
@@ -270,7 +305,7 @@ def _random_ses_chain(rng: Random, field: Field, length: int,
             src = dst
         else:
             return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
-    raise RuntimeError(f"could not draw a composable chain of {length} extensions")
+    raise DegenerateFiltrationError(f"no composable chain of {length} extensions in {tries} tries")
 
 
 def random_ses_pair(rng: Random, field: Field,

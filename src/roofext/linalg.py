@@ -723,16 +723,34 @@ class IncrementalSpan:
         return True
 
 
-def random_mat(rng: Random, field: Field, r: int, c: int) -> Mat:
-    """Random r x c matrix drawn row by row: uniform over F_p, in [-2, 2] over Q.
-    Each entry takes the draws rng.randrange(p) (randint(-2, 2)) would take."""
+def _draw_offset(field: Field) -> int:
+    """The draw that stands for 0: an entry is its draw minus this offset."""
+    return 0 if isinstance(field, PrimeField) else 2
+
+
+def _random_draws(rng: Random, field: Field, count: int) -> list[int]:
+    """random_mat's raw draws, count of them: each in [0, bound) for bound p over
+    F_p and 5 over Q, taking the draws rng.randrange(bound) would take."""
     bound = field.p if isinstance(field, PrimeField) else 5
     k, draw, out = bound.bit_length(), rng.getrandbits, []
-    for _ in range(r * c):
+    for _ in range(count):
         x = draw(k)
         while x >= bound:
             x = draw(k)
         out.append(x)
+    return out
+
+
+def _draws_array(field: Field, draws: list[int], r: int, c: int) -> np.ndarray:
+    """The r x c matrix of raw draws, row by row, as a canonical array."""
     if isinstance(field, PrimeField):
-        return Mat._of(field, np.array(out, dtype=np.int64).reshape(r, c))
-    return Mat._of(field, (np.array(out, dtype=object) - 2).reshape(r, c))
+        return np.array(draws, dtype=np.int64).reshape(r, c)
+    return (np.array(draws, dtype=object) - _draw_offset(field)).reshape(r, c)
+
+
+def random_mat(rng: Random, field: Field, r: int, c: int) -> Mat:
+    """Random r x c matrix drawn row by row: uniform over F_p, in [-2, 2] over Q.
+    Each entry takes the draws rng.randrange(p) (randint(-2, 2)) would take.
+    It is _draws_array of _random_draws, so a sampler can take the raw draws,
+    test them, and make an array only of those it keeps."""
+    return Mat._of(field, _draws_array(field, _random_draws(rng, field, r * c), r, c))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import roofext
+import roofext.algebra as algebra_module
 from helpers import (
     bound_quiver_algebra_reference,
     coordinates_in_hom_basis,
@@ -172,7 +173,9 @@ def test_quiver_algebra_matches_path_pair_reference(field):
     """Every quiver with 2-3 vertices and 1-3 arrows, bound at length 2 and 3:
     the structure constants, unit, radical, quiver data and label are those
     of the path-pair-by-path-pair construction, and _quiver_table is the
-    table of the free module."""
+    table of the free module, both when it stores a shape's pattern and when
+    it reads it back.  The store then holds one pattern per shape, 1,806 of
+    them, in at most 0.5 MB."""
     for nv in (2, 3):
         edges = [(s, t) for s in range(nv) for t in range(nv)]
         for na in (1, 2, 3):
@@ -185,10 +188,16 @@ def test_quiver_algebra_matches_path_pair_reference(field):
                     assert alg.radical == ref.radical and alg.quiver == ref.quiver
                     assert alg.label == ref.label
                     # the table random_filtration decides on, unbuilt
-                    table = _quiver_table(field, nv, list(arrows), nil)
                     stacked = free_module(alg, 1)._blocks()[2]
-                    assert (table.shape, table.dtype) == (stacked.shape, stacked.dtype)
-                    assert table.tolist() == stacked.tolist()
+                    for _ in range(2):
+                        table = _quiver_table(field, nv, list(arrows), nil)
+                        assert (table.shape, table.dtype) == (stacked.shape, stacked.dtype)
+                        assert table.tolist() == stacked.tolist()
+                        assert {type(x) for x in table.reshape(-1).tolist()} == {int}
+    store = algebra_module._TABLE_ONES
+    assert len(store) == 1806
+    assert all(ones.base is None and not ones.flags.writeable for _, ones in store.values())
+    assert sum(sys.getsizeof(ones) for _, ones in store.values()) <= 500_000
 
 
 def test_quiver_algebra_rejects_arrows_off_the_quiver():
@@ -480,6 +489,20 @@ from roofext.linalg import GF
 instances.submodule_quotient = lambda m, incl: (m, None, None)  # G built as the free module
 rng = Random(0xD1A5)
 for _ in range(20):
+    instances.random_filtration(rng, GF(3))
+""",
+    "filtration-decided-on-a-corrupted-pattern": """
+from random import Random
+import roofext.algebra as algebra
+import roofext.instances as instances
+from roofext.linalg import GF
+key = 2, ((1, 1), (0, 1)), 3
+algebra._quiver_table(GF(3), *key)
+n, ones = algebra._TABLE_ONES[key]
+# e_1 e_1 = e_1 dropped: unchecked, a kept quotient's rows span no submodule
+algebra._TABLE_ONES[key] = (n, ones[[0] + list(range(2, len(ones)))])
+rng = Random(0xD1A5)
+for _ in range(40):
     instances.random_filtration(rng, GF(3))
 """,
     "extension-class-off-the-syzygies": """

@@ -1,6 +1,7 @@
 """Fixed showcase instances and the seeded random generators."""
 
 import hashlib
+from collections import Counter
 from random import Random
 
 import pytest
@@ -107,7 +108,8 @@ def test_top_test_says_generates_exactly_when_the_closure_is_everything(field, s
         gens = random_mat(rng, field, free.dim, rng.randint(1, 3)).a.copy()
         gens[[rng.random() < 0.4 for _ in range(free.dim)]] = 0  # leave some vertices unhit
         gens = Mat(field, gens)
-        generates = instances._generates_regular(algebra.quiver["vertices"], gens)
+        generates = instances._generates_regular(algebra.quiver["vertices"],
+                                                 gens.a.reshape(-1).tolist(), gens.ncols)
         assert generates == (_closure(free, gens)[0].ncols == free.dim)
         seen.add(generates)
     assert seen == {True, False}
@@ -127,6 +129,16 @@ def test_random_filtration_nondegenerate(field):
 def test_random_filtration_gives_up_with_a_typed_error():
     with pytest.raises(DegenerateFiltrationError, match="0 tries"):
         random_filtration(Random(0), GF(2), tries=0)
+
+
+def test_module_and_chain_samplers_give_up_with_a_typed_error():
+    # Giving up is exit 4, not a RuntimeError that a caller catching
+    # InvariantError would also catch.  kx3 has no quiver, so no simple
+    # fallback, and dim 3 > max_dim rules out the free draw.
+    with pytest.raises(DegenerateFiltrationError, match="0 tries"):
+        random_module(Random(0), kx3_regular(F3).algebra, max_dim=2, tries=0)
+    with pytest.raises(DegenerateFiltrationError, match="0 tries"):
+        random_ses_pair(Random(0), F2, tries=0)
 
 
 def test_random_filtration_deterministic():
@@ -245,9 +257,10 @@ def test_seeded_draws_are_pinned(kind, name):
 
 @pytest.mark.parametrize("name", ["f2", "f3"])
 def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
-    # Rejected draws are decided from ranks alone: submodule runs for
-    # F1 and F2 of each returned filtration and once per quotient built, and a
-    # quotient is built only for an ambient that passes dim >= 3.
+    # Rejected draws are decided from ranks alone: submodule runs only for F1
+    # and F2 of each returned filtration (a quotient ambient is built from its
+    # decision rows, with no submodule), and a quotient is built only for an
+    # ambient that passes dim >= 3.
     subs, quotient_dims = [], []
 
     def counted_submodule(*args, **kwargs):
@@ -263,7 +276,7 @@ def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
     monkeypatch.setattr(instances, "submodule", counted_submodule)
     monkeypatch.setattr(instances, "submodule_quotient", counted_quotient)
     docs = _seeded_draws("filtration", field_from_name(name))
-    assert len(subs) == 2 * len(docs) + len(quotient_dims)
+    assert len(subs) == 2 * len(docs)
     assert all(dim >= 3 for dim in quotient_dims)
     assert len(quotient_dims) <= len(docs)
 
@@ -314,6 +327,56 @@ def test_filtration_sampler_builds_one_algebra_per_filtration(monkeypatch, name,
     (docs, state, algebras), (ref_docs, ref_state, ref_algebras) = runs
     assert dump_canonical(docs) == dump_canonical(ref_docs) and state == ref_state
     assert algebras == count - docs.count(None) > 0 and ref_algebras >= 10 * algebras
+
+
+@pytest.mark.parametrize("name", ["f2", "f3", "f5", "q"])
+def test_filtration_tries_store_each_pattern_once_and_arrays_only_past_the_top(
+        monkeypatch, name):
+    """Over 60 seeded filtrations, each shape drawn has its table pattern
+    stored once, a draw that Nakayama's top test rejects makes no array, and
+    the filtrations, give-ups and final rng state are those of building every
+    try's algebra."""
+    writes, shapes, tops, arrays = Counter(), set(), [], []
+
+    class Store(dict):
+        def __setitem__(self, key, value):
+            writes[key] += 1
+            super().__setitem__(key, value)
+
+    def shape(rng):
+        out = real_shape(rng)
+        shapes.add((out[0], tuple(out[1]), out[2]))
+        return out
+
+    def top(*args):
+        tops.append(real_top(*args))
+        return tops[-1]
+
+    def array(*args):
+        arrays.append(1)
+        return real_array(*args)
+
+    def draw(sampler, rng):
+        try:
+            return filtration_to_json(sampler(rng, field))
+        except DegenerateFiltrationError:
+            return None
+
+    real_shape, real_top = instances._random_quiver_shape, instances._generates_regular
+    real_array = instances._draws_array
+    monkeypatch.setattr(algebra_module, "_TABLE_ONES", Store())
+    monkeypatch.setattr(instances, "_random_quiver_shape", shape)
+    monkeypatch.setattr(instances, "_generates_regular", top)
+    monkeypatch.setattr(instances, "_draws_array", array)
+    field = field_from_name(name)
+    runs = []
+    for sampler in (random_filtration, random_filtration_reference):
+        rng = Random(0x5A4D)
+        runs.append(([draw(sampler, rng) for _ in range(60)], rng.getstate()))
+    assert set(writes) == shapes and set(writes.values()) == {1}
+    assert len(arrays) == tops.count(False) and tops.count(True) > 0
+    (docs, state), (ref_docs, ref_state) = runs
+    assert dump_canonical(docs) == dump_canonical(ref_docs) and state == ref_state
 
 
 def test_filtration_sampler_checks_what_it_built(monkeypatch):
