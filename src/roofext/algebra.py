@@ -1,14 +1,15 @@
 """Finite-dimensional algebras and their left modules, with exact scalars.
 
-An algebra is a structure-constant table over Q or F_p; a module is a tuple
-of action matrices, one per algebra basis vector.  Free modules are kept
-symbolic (rank + block structure) so resolutions never materialize the
+An algebra is a structure-constant table over Q or F_p; a module is one
+array, its action matrices side by side, [A_0 | A_1 | ...] with A_i the
+action of the i-th algebra basis vector.  Free modules are kept symbolic
+(rank + block structure) so resolutions never materialize the
 block-diagonal action of a large free module just to multiply by it.
 
 Every action is one block product: a module is r blocks of size a, and e_i
-acts on each block by the same a x a matrix M_i -- r = 1 and M_i = action[i]
-for an explicit module, a = dim A and M_i = left_mult(i) = mult[i].T for a
-free one, whose stack is the transposed structure-constant table, reshaped.
+acts on each block by the same a x a matrix M_i -- r = 1 and M_i = A_i for
+an explicit module, a = dim A and M_i = left_mult(i) = mult[i].T for a free
+one, whose stack is the transposed structure-constant table, reshaped.
 The law checks are block products too: one product tests the unit and one
 tests all n^2 relations M_i M_j = sum_k c_ijk M_k (see _law_failure); the
 algebra checks its own left regular representation the same way.
@@ -39,7 +40,8 @@ from .linalg import (
     _dot,
     _kernel,
     _null_basis,
-    block_diag,
+    _reduced,
+    hstack,
     rank,
     rref,
     solve,
@@ -135,30 +137,39 @@ class Algebra:
 class Module:
     """Finite-dimensional left module, explicit or free.
 
-    Explicit modules store one action matrix per algebra basis vector.
-    Free modules store only their rank; actions are applied blockwise
-    through the regular representation (see _blocks).
+    An explicit module stores one array, its action matrices side by side:
+    actions() = [A_0 | A_1 | ...], A_i the action of e_i; act_mat(i) is a
+    slice of it and _blocks() its stacked form.  `action` is that array, or
+    the list of the A_i, stacked once.  Free modules store only their rank;
+    actions are applied blockwise through the regular representation (see
+    _blocks), and actions() is built from that once, when asked for.
     """
 
-    def __init__(self, algebra: Algebra, action: list[Mat] | None = None,
+    def __init__(self, algebra: Algebra, action: list[Mat] | Mat | None = None,
                  free_rank: int | None = None, label: str = "", check: bool = False):
         self.algebra = algebra
         self.label = label
         self._cache: dict = {}
         self._key: tuple | None = None
+        self.free_rank = free_rank
         if free_rank is not None:
-            self.free_rank = free_rank
             self.dim = free_rank * algebra.dim
-            self._action = None
+            self._hit = None
         else:
-            if action is None or len(action) != algebra.dim:
+            if isinstance(action, Mat):
+                hit = action
+            elif action is None or len(action) != algebra.dim:
                 raise SchemaError("need one action matrix per algebra basis vector")
-            self.free_rank = None
-            self._action = list(action)
-            self.dim = action[0].nrows if action else 0
-            for m in self._action:
-                if m.shape != (self.dim, self.dim):
+            else:
+                dim = action[0].nrows if action else 0
+                if any(m.shape != (dim, dim) for m in action):
                     raise SchemaError("action matrices must be square of module dimension")
+                hit = hstack(action) if action else Mat.zeros(algebra.field, 0, 0)
+            if hit.ncols != algebra.dim * hit.nrows:
+                raise SchemaError(f"{hit.ncols} action columns are not dim A = {algebra.dim}"
+                                  f" square blocks of module dimension {hit.nrows}")
+            self._hit = hit
+            self.dim = hit.nrows
         if check:
             self.validate()
 
@@ -171,23 +182,20 @@ class Module:
         return self.free_rank is not None
 
     def act_mat(self, i: int) -> Mat:
-        if self._action is not None:
-            return self._action[i]
-        if self.free_rank == 0:
-            return Mat.zeros(self.field, 0, 0)
-        return block_diag([self.algebra.left_mult(i)] * self.free_rank)
+        return Mat._of(self.field, self.actions().a[:, i * self.dim : (i + 1) * self.dim])
 
     def _blocks(self) -> tuple[int, int, np.ndarray]:
         """(a, r, stacked): r blocks of size a, and e_i acts on every block by
         stacked[i*a:(i+1)*a], cached."""
         if "blocks" not in self._cache:
-            if self._action is None:
-                n = self.algebra.dim
+            n = self.algebra.dim
+            if self.is_free:
                 stacked = self.algebra.mult.transpose(0, 2, 1).reshape(n * n, n)
                 self._cache["blocks"] = (n, self.free_rank, stacked)
             else:
-                stacked = np.vstack([m.a for m in self._action])
-                self._cache["blocks"] = (self.dim, 1, stacked)
+                d = self.dim
+                stacked = self._hit.a.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
+                self._cache["blocks"] = (d, 1, stacked)
         return self._cache["blocks"]
 
     def _apply(self, stacked: np.ndarray, k: int, vecs: Mat) -> Mat:
@@ -209,18 +217,18 @@ class Module:
         return self._apply(self._blocks()[2], self.algebra.dim, vecs)
 
     def actions(self) -> Mat:
-        """act_all(identity) = [A_0 | A_1 | ...], computed once per module."""
-        if "actions" not in self._cache:
-            self._cache["actions"] = self.act_all(Mat.identity(self.field, self.dim))
-        return self._cache["actions"]
+        """[A_0 | A_1 | ...]: the stored array, or act_all(identity) once for
+        a free module."""
+        if self._hit is None:  # a free module
+            self._hit = self.act_all(Mat.identity(self.field, self.dim))
+        return self._hit
 
     @staticmethod
     def from_act_all(algebra: Algebra, hit: Mat, label: str = "") -> "Module":
         """Explicit module whose action matrices sit side by side in hit, as
-        act_all returns them: hit = [A_0 | A_1 | ...]."""
-        w = hit.ncols // algebra.dim
-        action = [hit.take_cols(range(i * w, (i + 1) * w)) for i in range(algebra.dim)]
-        return Module(algebra, action=action, label=label)
+        act_all returns them: hit = [A_0 | A_1 | ...], stored as it is.  A
+        width other than dim A times its height raises SchemaError."""
+        return Module(algebra, action=hit, label=label)
 
     def validate(self) -> None:
         a, _, stacked = self._blocks()
@@ -431,10 +439,10 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
     span's reduced basis, so it costs no more than a basis.
     """
     gens = incl.matrix if isinstance(incl, ModuleHom) else incl
-    red, piv = rref(gens.T)
-    K, free = _null_basis(red, piv, module.dim)
+    piv, take = _reduced(gens.T)
+    K, free = _null_basis(module.field, piv, take, module.dim)
     proj = K.T  # canonical quotient coordinates: see the linalg docstring
-    basis = gens if gens.ncols == len(piv) else red.take_rows(range(len(piv))).T
+    basis = gens if gens.ncols == len(piv) else Mat._of(module.field, take(range(module.dim)).T)
     escaped = (proj @ module.act_all(basis)).a != 0
     if escaped.any():
         i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
@@ -455,11 +463,11 @@ def _hom_matrix(source: Module, target: Module) -> tuple[Mat, tuple[int, ...]]:
     """
     n, m, k = target.dim, source.dim, source.algebra.dim
     field = source.field
-    A = np.stack([target.act_mat(i).a for i in range(k)])
-    B = np.stack([source.act_mat(i).a for i in range(k)])
+    A = target.actions().a.reshape(n, k, n).transpose(1, 0, 2)
+    BT = source.actions().a.reshape(m, k, m).transpose(1, 2, 0)  # B_i^T
     cons = field.zeros((k, n, m, n, m))
     cons[:, :, range(m), :, range(m)] = A
-    cons[:, range(n), :, range(n), :] -= B.transpose(0, 2, 1)
+    cons[:, range(n), :, range(n), :] -= BT
     return _kernel(Mat(field, cons.reshape(k * n * m, n * m)))
 
 
@@ -474,20 +482,19 @@ def hom_space(source: Module, target: Module) -> list[ModuleHom]:
 
 def direct_sum(mods: list[Module]):
     """Direct sum with injection and projection homs: each summand's
-    actions() fill its diagonal block of every action matrix, and
-    the injections and projections are slices of one identity."""
+    actions() fill its diagonal block of every action matrix in one array,
+    and the injections and projections are slices of one identity."""
     if not mods:
         raise ValueError("empty direct sum needs an algebra; use a zero module")
     algebra = mods[0].algebra
     field = mods[0].field
     n = algebra.dim
     offs = np.cumsum([0] + [m.dim for m in mods]).tolist()
-    action = field.zeros((n, offs[-1], offs[-1]))
+    hit = field.zeros((offs[-1], n, offs[-1]))  # [A_0 | A_1 | ...], reshaped
     for m, o in zip(mods, offs):
-        if m.dim:  # actions() is [A_0 | A_1 | ...]
-            hit = m.actions().a.reshape(m.dim, n, m.dim)
-            action[:, o:o + m.dim, o:o + m.dim] = hit.transpose(1, 0, 2)
-    amb = Module(algebra, action=[Mat._of(field, action[i]) for i in range(n)])
+        if m.dim:
+            hit[o:o + m.dim, :, o:o + m.dim] = m.actions().a.reshape(m.dim, n, m.dim)
+    amb = Module.from_act_all(algebra, Mat._of(field, hit.reshape(offs[-1], n * offs[-1])))
     eye = Mat.identity(field, offs[-1]).a
     injs = [ModuleHom(m, amb, Mat._of(field, eye[:, o:o + m.dim]), check=False)
             for m, o in zip(mods, offs)]

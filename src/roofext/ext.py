@@ -85,7 +85,7 @@ def hom_from_free(target: Module, images: Mat) -> Mat:
     """
     a, c = target.algebra.dim, images.ncols
     hit = target.act_all(images).a.reshape(target.dim, a, c)
-    return Mat(target.field, hit.transpose(0, 2, 1).reshape(target.dim, c * a))
+    return Mat._of(target.field, hit.transpose(0, 2, 1).reshape(target.dim, c * a))
 
 
 def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Mat:
@@ -119,7 +119,7 @@ def _radical_images(ambient: Module, basis: Mat, rad: Mat) -> Mat:
     n, q = rad.shape
     hit = hom_from_free(ambient, basis).a.reshape(dim * c, n)
     out = _dot(field, hit, rad.a).reshape(dim, c, q).transpose(0, 2, 1)
-    return Mat(field, out.reshape(dim, q * c))
+    return Mat._of(field, out.reshape(dim, q * c))
 
 
 def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
@@ -233,7 +233,7 @@ def _hom_delta(N: Module, rk: int, g: Mat) -> Mat:
     hit = N.actions().a  # [N_0 | N_1 | ...]
     acts = hit.reshape(nn, a, nn).transpose(1, 0, 2).reshape(a, nn * nn)
     out = _dot(field, coeffs, acts).reshape(c, rk, nn, nn).transpose(0, 2, 1, 3)
-    return Mat(field, out.reshape(c * nn, rk * nn))
+    return Mat._of(field, out.reshape(c * nn, rk * nn))
 
 
 class _ExtSpace:
@@ -340,7 +340,7 @@ def ext_element_from_images(M: Module, N: Module, i: int, images: Mat) -> ExtEle
     if images.ncols == 0:
         vec = Mat.zeros(field, 0, 1)
     else:
-        vec = Mat(field, np.ascontiguousarray(images.a.T).reshape(-1, 1))
+        vec = Mat._of(field, np.ascontiguousarray(images.a.T).reshape(-1, 1))
     return ExtElement(space, vec)
 
 

@@ -28,10 +28,12 @@ the reduced form.
 Elimination over F2 and F3 runs on column-packed ints (F2: one int per
 column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
 without row swaps, and `pivots` (so `rank`) there reads the pivot columns
-off the elimination, with no unpacking; larger primes use numpy.  Every Mat
-holds a read-only array in canonical form: `Mat(field, data)` reduces it,
-and results that are canonical by construction skip that through
-`Mat._of`.  Kernel bases hold negated entries, so they go through `Mat`.
+off the elimination, with no unpacking; larger primes use numpy.  Kernel
+bases and solutions unpack only the columns they read (see _reduced).
+Every Mat holds a read-only array in canonical form: `Mat(field, data)`
+reduces it, and results that are canonical by construction skip that
+through `Mat._of`; a kernel basis is one of them, as _reduced negates in
+the field.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import math
 import re
 from fractions import Fraction
 from random import Random
+from typing import Callable
 
 import numpy as np
 
@@ -429,20 +432,41 @@ def block_diag(mats: list[Mat]) -> Mat:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    if 0 in m.shape:
-        return m, ()
-    p = m.field.char
-    if p in _PACKED:
-        cols, order, piv = _PACKED[p](m.a)
-        bits = _unpack(cols, order, m.nrows)
-        if p == 3:  # the P ints, then the N ints
-            bits = bits[:, : m.ncols] | bits[:, m.ncols :] << 1
-        r = bits.astype(np.int64, copy=False)
-    elif p:
-        r, piv = _rref_fp(m.a.copy(), p)
-    else:
-        r, piv = _rref_qq(m.a)
-    return Mat._of(m.field, r), tuple(piv)
+    piv, take = _reduced(m)
+    r = m.field.zeros(m.shape)
+    r[: len(piv)] = take(range(m.ncols))
+    return Mat._of(m.field, r), piv
+
+
+def _reduced(m: Mat) -> tuple[tuple[int, ...], Callable]:
+    """(piv, take): the pivot columns of m's RREF, and take(cols, neg=False),
+    the array of its first len(piv) rows at cols, negated if neg.  Every
+    elimination that reads reduced rows (rref, _kernel, solve) runs here.
+
+    Over F2 and F3 take unpacks only those columns of the packed elimination;
+    over F3 negation swaps each column's P and N ints (-1 = 2), so a negated
+    read is as cheap as a plain one.  Other fields reduce densely.
+    """
+    p, n = m.field.char, m.ncols
+    if p not in _PACKED:
+        r, piv = _rref_fp(m.a.copy(), p) if p else _rref_qq(m.a)
+
+        def take(cols, neg=False):
+            out = r[: len(piv), list(cols)]
+            return m.field.reduce(-out) if neg else out
+
+        return tuple(piv), take
+    packed, order, piv = _PACKED[p](m.a)
+
+    def take(cols, neg=False):
+        cols = list(cols)
+        if p == 2:
+            return _unpack([packed[j] for j in cols], order, m.nrows).astype(np.int64)
+        ones, twos = [packed[j] for j in cols], [packed[n + j] for j in cols]
+        bits = _unpack(twos + ones if neg else ones + twos, order, m.nrows)
+        return (bits[:, : len(cols)] | bits[:, len(cols) :] << 1).astype(np.int64)
+
+    return tuple(piv), take
 
 
 # Row weights for packing up to 62 rows with one int64 product.
@@ -460,17 +484,15 @@ def _pack(bits: np.ndarray) -> list[int]:
 
 
 def _unpack(cols: list[int], order: list[int], m: int) -> np.ndarray:
-    """m x len(cols) 0/1 array whose row t is bit order[t] of every column;
-    rows past len(order) are zero.  Large ones are uint8, to save memory."""
-    if m <= 62:  # bit 62 is zero in every column
-        idx = np.array(order + [62] * (m - len(order)))
+    """len(order) x len(cols) 0/1 array whose row t is bit order[t] of every
+    column, for columns of m bits.  Large ones are uint8, to save memory."""
+    if m <= 62:
+        idx = np.array(order, dtype=np.int64)
         return (np.array(cols, dtype=np.int64) >> idx[:, None]) & 1
     nb = (m + 7) // 8
     raw = np.frombuffer(b"".join(x.to_bytes(nb, "little") for x in cols), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(cols), nb), axis=1, bitorder="little")
-    out = np.zeros((m, len(cols)), dtype=np.uint8)
-    out[: len(order)] = bits[:, order].T
-    return out
+    return np.ascontiguousarray(bits[:, order].T)
 
 
 def _eliminate_f2(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -606,7 +628,7 @@ def pivots(m: Mat) -> tuple[int, ...]:
     """Pivot columns of m's RREF, read off the packed elimination over F2 and F3."""
     if m.field.char in _PACKED:
         return tuple(_PACKED[m.field.char](m.a)[2])
-    return rref(m)[1]
+    return _reduced(m)[0]
 
 
 def rank(m: Mat) -> int:
@@ -617,17 +639,19 @@ def _kernel(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """(K, free): the columns of K are the canonical (RREF-derived) basis of
     the null space, and K is the identity on its free rows, the non-pivot
     columns of m.  So a vector v of the null space has coordinates v[free]."""
-    return _null_basis(*rref(m), m.ncols)
+    return _null_basis(m.field, *_reduced(m), m.ncols)
 
 
-def _null_basis(r: Mat, piv: tuple[int, ...], n: int) -> tuple[Mat, tuple[int, ...]]:
-    """_kernel's (K, free) for the first n columns of an RREF r with pivots piv."""
+def _null_basis(field: Field, piv: tuple[int, ...], take: Callable,
+                n: int) -> tuple[Mat, tuple[int, ...]]:
+    """_kernel's (K, free) for the first n columns of a reduction (piv, take)
+    from _reduced: K's pivot rows are the negated RREF rows at the free columns."""
     pivots = set(piv)
     free = tuple(j for j in range(n) if j not in pivots)
-    out = r.field.zeros((n, len(free)))
+    out = field.zeros((n, len(free)))
     out[list(free), range(len(free))] = 1
-    out[list(piv), :] = -r.a[: len(piv), list(free)]  # negated: Mat reduces it
-    return Mat(r.field, out), free
+    out[list(piv), :] = take(free, neg=True)
+    return Mat._of(field, out), free
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -640,19 +664,20 @@ def solve(m: Mat, b: Mat, rng: Random | None = None) -> Mat | None:
 
     b may have several columns; None means at least one column is outside
     the column space.  An rng adds K @ random_mat(rng, ...) for m's kernel
-    basis K, read off the first columns of the same RREF of [m | b].
+    basis K, read off the first columns of the same reduction of [m | b],
+    which is read only at b's columns and, with an rng, m's free ones.
     """
     if m.field != b.field or m.nrows != b.nrows:
         raise ValueError("incompatible system")
-    r, piv = rref(hstack([m, b]))
+    piv, take = _reduced(hstack([m, b]))
     n = m.ncols
-    if any(c >= n for c in piv):
+    if piv and piv[-1] >= n:
         return None
     out = m.field.zeros((n, b.ncols))
-    out[list(piv), :] = r.a[: len(piv), n:]
+    out[list(piv), :] = take(range(n, n + b.ncols))
     sol = Mat._of(m.field, out)
     if rng is not None and len(piv) < n and b.ncols:
-        K, free = _null_basis(r, piv, n)
+        K, free = _null_basis(m.field, piv, take, n)
         sol = sol + K @ random_mat(rng, m.field, len(free), b.ncols)
     return sol
 

@@ -22,6 +22,12 @@ direct_sum, _hom_matrix, bound_quiver_algebra, ext._ExtSpace,
 ext._greedy_generators, instances._random_ses_chain and
 instances.random_filtration.
 
+ListModuleReference is the earlier explicit Module, one action Mat per
+algebra basis vector, kept as the oracle for Module's one action array;
+null_basis_reference and solve_reference read kernels and solutions off a
+dense RREF of the whole matrix, made without packing by the numpy prime
+field elimination, as the oracles for the packed _kernel and solve.
+
 The dense references of the complex layer (chain_map_validate_reference,
 chain_map_compose_reference, chain_map_sub_reference, boundary_reference,
 complex_validate_reference, complex_eq_reference) walk every degree of the
@@ -43,8 +49,8 @@ from roofext.errors import DegenerateFiltrationError, SchemaError
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
 from roofext.instances import random_ext_element, random_module
 from roofext.linalg import (
-    IncrementalSpan, Mat, block_diag, hstack, kernel_basis, pivots, random_mat, rank, solve,
-    subquotient)
+    IncrementalSpan, Mat, PrimeField, _rref_fp, block_diag, hstack, kernel_basis, pivots,
+    random_mat, rank, rref, solve, subquotient)
 
 
 def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
@@ -437,3 +443,75 @@ def complex_validate_reference(algebra: Algebra, objects: dict, diffs: dict) -> 
 def complex_eq_reference(a: Complex, b: Complex) -> bool:
     """Complex equality as key equality."""
     return a is b or a.algebra == b.algebra and a.key() == b.key()
+
+
+class ListModuleReference:
+    """The earlier explicit module: a list of action Mats, np.vstack'ed into
+    _blocks' stacked form, from_act_all splitting [A_0 | A_1 | ...] into
+    per-element Mats, and key() the tuple of their keys."""
+
+    def __init__(self, algebra: Algebra, action: list[Mat]):
+        self.algebra, self.action = algebra, list(action)
+        self.dim = self.action[0].nrows
+
+    @staticmethod
+    def from_act_all(algebra: Algebra, hit: Mat) -> "ListModuleReference":
+        w = hit.ncols // algebra.dim
+        return ListModuleReference(
+            algebra, [hit.take_cols(range(i * w, (i + 1) * w)) for i in range(algebra.dim)])
+
+    def act_mat(self, i: int) -> Mat:
+        return self.action[i]
+
+    def stacked(self) -> np.ndarray:
+        return np.vstack([m.a for m in self.action])
+
+    def actions(self) -> Mat:
+        return hstack(self.action)
+
+    def act_all(self, vecs: Mat) -> Mat:
+        return hstack([m @ vecs for m in self.action])
+
+    def key(self) -> tuple:
+        return (self.algebra.key(), self.dim, tuple(m.key() for m in self.action))
+
+
+def free_module_reference(algebra: Algebra, rank_: int) -> ListModuleReference:
+    """A^r with block-diagonal copies of the left regular action."""
+    return ListModuleReference(algebra, [block_diag([algebra.left_mult(i)] * rank_)
+                                         for i in range(algebra.dim)])
+
+
+def dense_rref_reference(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """RREF by the numpy elimination over a prime field (never packed), rref over Q."""
+    if isinstance(m.field, PrimeField):
+        r, piv = _rref_fp(m.a.copy(), m.field.p)
+        return Mat(m.field, r), tuple(piv)
+    return rref(m)
+
+
+def null_basis_reference(r: Mat, piv: tuple[int, ...], n: int) -> tuple[Mat, tuple[int, ...]]:
+    """Kernel basis of the first n columns of a dense RREF r: the identity on
+    the free rows, the negated RREF entries, reduced through Mat, on the pivot rows."""
+    pivset = set(piv)
+    free = tuple(j for j in range(n) if j not in pivset)
+    out = r.field.zeros((n, len(free)))
+    out[list(free), range(len(free))] = 1
+    out[list(piv), :] = -r.a[: len(piv), list(free)]
+    return Mat(r.field, out), free
+
+
+def solve_reference(m: Mat, b: Mat, rng: Random | None = None) -> Mat | None:
+    """solve read off the whole dense RREF of [m | b]; an rng adds the same
+    random null vector solve adds."""
+    r, piv = dense_rref_reference(hstack([m, b]))
+    n = m.ncols
+    if any(c >= n for c in piv):
+        return None
+    out = m.field.zeros((n, b.ncols))
+    out[list(piv), :] = r.a[: len(piv), n:]
+    sol = Mat(m.field, out)
+    if rng is not None and len(piv) < n and b.ncols:
+        K, free = null_basis_reference(r, piv, n)
+        sol = sol + K @ random_mat(rng, m.field, len(free), b.ncols)
+    return sol

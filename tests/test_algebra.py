@@ -16,9 +16,11 @@ import pytest
 import roofext
 import roofext.algebra as algebra_module
 from helpers import (
+    ListModuleReference,
     bound_quiver_algebra_reference,
     coordinates_in_hom_basis,
     direct_sum_reference,
+    free_module_reference,
     hom_constraints_reference,
 )
 from roofext.algebra import (
@@ -40,11 +42,13 @@ from roofext.algebra import (
     truncated_polynomial_algebra,
     vector_space_module,
 )
-from roofext.complexes import zero_module
+from roofext.complexes import Complex, cohomology, zero_module
 from roofext.errors import DegenerateFiltrationError, NotSubmoduleError, SchemaError
 from roofext.ext import hom_from_free
 from roofext.instances import kx3_filtration, kx3_regular, kx3_simple, random_module
-from roofext.linalg import GF, QQ, Mat, _kernel, hstack, random_mat, rank, rref, solve
+from roofext.jsonio import algebra_to_json, mat_to_json, module_from_json
+from roofext.linalg import (
+    GF, QQ, Mat, _kernel, block_diag, hstack, random_mat, rank, rref, solve)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -238,6 +242,18 @@ def test_module_rejects_incompatible_action():
         Module(alg, action=[one, one, one]).validate()
     with pytest.raises(SchemaError, match="unit law"):
         Module(alg, action=[Mat(QQ, [[0]]), one, one]).validate()
+
+
+def test_module_rejects_an_action_array_of_the_wrong_width():
+    """[A_0 | A_1 | A_2] of a dim-2 module over k[x]/(x^3) is 2 x 6: a 2 x 7
+    array is refused, not loaded with its last column dropped."""
+    alg = truncated_polynomial_algebra(F3, 3)
+    hit = Mat(F3, [[1, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0]])
+    with pytest.raises(SchemaError, match="7 action columns"):
+        Module.from_act_all(alg, hit)
+    with pytest.raises(SchemaError, match="7 action columns"):
+        Module(alg, action=hit)
+    assert Module.from_act_all(alg, hit.take_cols(range(6))).dim == 2
 
 
 def test_module_action_failure_names_a_later_pair():
@@ -453,6 +469,59 @@ def test_submodule_matches_fixed_point_closure(field):
             incl.source.validate()
 
 
+def _check_against_list_reference(module: Module, ref: ListModuleReference, rng: Random):
+    """Every view of the one action array equals the list-of-Mats module's,
+    and none of them is writable."""
+    n = module.algebra.dim
+    mats = [module.act_mat(i) for i in range(n)]
+    assert mats == ref.action and module.actions() == ref.actions()
+    assert module.key() == ref.key() and module == Module(module.algebra, action=ref.action)
+    a, r, stacked = module._blocks()
+    if not module.is_free:
+        assert (a, r) == (module.dim, 1) and np.array_equal(stacked, ref.stacked())
+    vecs = random_mat(rng, module.field, module.dim, 2)
+    assert module.act_all(vecs) == ref.act_all(vecs)
+    assert not any(m.a.flags.writeable for m in [module.actions(), *mats])
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["f2", "f3", "f5", "q"])
+def test_one_action_array_matches_list_of_mats_reference(field):
+    """Free modules, submodules, quotients, quiver simples, direct sums,
+    cohomology modules and JSON-loaded modules, against the earlier list of
+    per-element action Mats, whose matrices come from the reference's own."""
+    rng = Random(0x1A55 + field.char)
+    for _ in range(6):
+        alg = random_bound_quiver_algebra(rng, field)
+        free, free_ref = free_module(alg, 2), free_module_reference(alg, 2)
+        incl = submodule(free, random_mat(rng, field, free.dim, rng.randint(1, 2)))
+        sub, basis = incl.source, incl.matrix
+        sub_ref = ListModuleReference(alg, [solve(basis, m @ basis) for m in free_ref.action])
+        quot, proj, section = submodule_quotient(free, incl)
+        quot_ref = ListModuleReference(alg, [proj.matrix @ m @ section for m in free_ref.action])
+        v = rng.randrange(alg.quiver["vertices"])
+        simple = quiver_simple(alg, v)
+        simple_ref = ListModuleReference.from_act_all(
+            alg, Mat(field, [[int(i == v) for i in range(alg.dim)]]))
+        parts = (quot_ref, simple_ref, sub_ref)
+        total_ref = ListModuleReference(
+            alg, [block_diag([r.action[i] for r in parts]) for i in range(alg.dim)])
+        mods = [free, sub, quot, simple, direct_sum([quot, simple, sub])[0]]
+        refs = [free_ref, sub_ref, quot_ref, simple_ref, total_ref]
+        x = Complex(alg, {0: sub, 1: free}, {0: incl})  # H^1 = free / sub
+        y = Complex(alg, {0: sub, 1: free}, {})  # H^0 = sub, H^1 = free
+        for cx, n, obj_ref in ((x, 1, free_ref), (y, 0, sub_ref), (y, 1, free_ref)):
+            h = cohomology(cx, n)
+            mods.append(h.module)
+            refs.append(ListModuleReference(alg, [h.project @ m @ h.include
+                                                  for m in obj_ref.action]))
+        doc = {"algebra": algebra_to_json(alg), "dim": quot_ref.dim,
+               "action": [mat_to_json(m) for m in quot_ref.action]}
+        mods.append(module_from_json(doc))
+        refs.append(quot_ref)
+        for module, ref in zip(mods, refs):
+            _check_against_list_reference(module, ref, rng)
+
+
 # Each probe must raise InvariantError even with asserts stripped by -O.
 _INVARIANT_PROBES = {
     "subquotient": """
@@ -543,6 +612,25 @@ roofs.direct_sum = shifted
 F3 = GF(3)
 roofs.compose_roofs(roofs.ses_to_roof(ka3_first_step(F3)),
                     roofs.ses_to_roof(ka3_second_step(F3)).shift(1))
+""",
+    "packed-kernel-with-a-flipped-entry": """
+import roofext.algebra as algebra
+import roofext.ext as ext
+import roofext.linalg as linalg
+from roofext.instances import ka3_first_step
+from roofext.linalg import GF, Mat
+real = linalg._kernel
+def flipped(m):  # the first pivot row's first entry off by one
+    K, free = real(m)
+    rows = [i for i in range(K.nrows) if i not in free]
+    if not rows or not K.ncols:
+        return K, free
+    a = K.a.copy()
+    a[rows[0], 0] += 1
+    return Mat(K.field, a), free
+for module in (linalg, algebra, ext):
+    module._kernel = flipped
+ext.class_of_extension(ka3_first_step(GF(3)))
 """,
 }
 

@@ -113,10 +113,12 @@ def test_resolution_of_kx3_simple_is_periodic():
     assert res.ranks[:6] == [1, 1, 1, 1, 1, 1]
 
 
-def _count_eliminations(monkeypatch, names=("rref",)) -> list:
+def _count_eliminations(monkeypatch, names=("_reduced",)) -> list:
     """Route every roofext binding of the named linalg eliminations through
     a counter; returns the list of reduced shapes, which grows as they are
-    called.  Count pivots only over F2/F3, where it does not call rref."""
+    called.  Every elimination that reads reduced rows (rref, _kernel,
+    solve) runs in _reduced, on every field.  Count pivots only over F2/F3,
+    where it does not call _reduced."""
     calls = []
 
     def counter(real):
@@ -136,11 +138,11 @@ def _count_eliminations(monkeypatch, names=("rref",)) -> list:
 
 def test_one_resolution_step_reduces_twice(monkeypatch):
     """One elimination picks the generators (the pivots of the radical
-    coordinates read off the kernel's free rows) and one rref gives the
-    next kernel."""
+    coordinates read off the kernel's free rows) and one reduction gives
+    the next kernel."""
     s1, _, _ = ka3_simples(F3)
     res = free_resolution(s1, 0)
-    calls = _count_eliminations(monkeypatch, ("rref", "pivots"))
+    calls = _count_eliminations(monkeypatch, ("_reduced", "pivots"))
     res._extend_to(1)
     assert res.ranks[1] > 0 and len(calls) == 2
 
