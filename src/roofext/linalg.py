@@ -15,15 +15,18 @@ arithmetic is exact: rationals are held in object arrays in one canonical
 form, `int` when integral and `fractions.Fraction` otherwise; prime fields
 are int64 arrays reduced mod p.
 
-Rational products clear denominators first: each operand becomes one
-common denominator times an integer matrix, the integer matrices are
-multiplied (in int64 when a bound on the sums allows it, as Python ints
-otherwise), and each output entry is divided once by the product of the
-two denominators.  Rational elimination is fraction-free Gauss-Jordan
-(Bareiss): rows are scaled to integers and every update divides exactly by
-the previous pivot, so entries stay minors of the input instead of blowing
-up as naive Fraction quotients would; one division by the last pivot gives
-the reduced form.
+Rational products and eliminations start with one type test over all the
+entries of their operands: integral data (all the bundled fixtures hold) is
+used as it is, and only data with a Fraction has its denominators cleared.
+A product then multiplies integer matrices (in int64 when a bound on the
+sums allows it, as Python ints otherwise) and divides each output entry
+once by the product of the operands' common denominators.  Rational
+elimination is fraction-free Gauss-Jordan (Bareiss): rows are scaled to
+integers and every update divides exactly by the previous pivot, so
+entries stay minors of the input instead of blowing up as naive Fraction
+quotients would.  The reduced form is those rows divided by the last
+pivot, and that division is made only at the columns a caller reads (see
+_reduced); pivots and rank make none.
 
 Elimination over F2 and F3 runs on column-packed ints (F2: one int per
 column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
@@ -31,16 +34,19 @@ without row swaps, and `pivots` (so `rank`) there reads the pivot columns
 off the elimination, with no unpacking; larger primes use numpy.  Kernel
 bases and solutions unpack only the columns they read (see _reduced).
 Every Mat holds a read-only array in canonical form: `Mat(field, data)`
-reduces it, and results that are canonical by construction skip that
-through `Mat._of`; a kernel basis is one of them, as _reduced negates in
-the field.
+reduces it (over F_p exactly for ints of any size, refusing an entry that
+is not an integer with SchemaError), and results that are canonical by
+construction skip that through `Mat._of`; a kernel basis is one of them,
+as _reduced negates in the field.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Callable
 
@@ -104,10 +110,10 @@ class RationalField(Field):
     char = 0
 
     def reduce(self, arr):
-        src = np.asarray(arr, dtype=object)
-        out = np.empty(src.shape, dtype=object)
-        out.reshape(-1)[:] = [x if type(x) is int else _canonical(x)
-                              for x in src.reshape(-1).tolist()]
+        out = np.array(arr, dtype=object)
+        flat = out.reshape(-1).tolist()
+        if not _all_int(flat):
+            out.reshape(-1)[:] = [x if type(x) is int else _canonical(x) for x in flat]
         return out
 
     def zeros(self, shape):
@@ -145,6 +151,11 @@ def _canonical(x) -> int | Fraction:
     """The canonical rational scalar equal to x: int if integral, else Fraction."""
     f = x if isinstance(x, Fraction) else Fraction(x)
     return int(f.numerator) if f.denominator == 1 else f
+
+
+def _all_int(entries) -> bool:
+    """Whether every entry is an int, by one type test over all of them."""
+    return set(map(type, entries)) <= {int}
 
 
 class PrimeField(Field):
@@ -203,6 +214,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _residues(arr: np.ndarray, p: int) -> np.ndarray:
+    """The int64 array of arr's entries mod p, exact for integers of any size;
+    any other entry (a float or a non-integral Fraction) raises SchemaError
+    instead of being truncated."""
+    out = []
+    for x in arr.reshape(-1).tolist():
+        if type(x) is not int:
+            if not (isinstance(x, numbers.Rational) and x.denominator == 1):
+                raise SchemaError(f"{x!r:.40} is not an integer, so it has no residue mod {p}")
+            x = int(x)
+        out.append(x % p)
+    return np.array(out, dtype=np.int64).reshape(arr.shape)
+
+
 QQ = RationalField()
 
 _gf_cache: dict[int, PrimeField] = {}
@@ -236,7 +261,12 @@ class Mat:
     __slots__ = ("field", "a")
 
     def __init__(self, field: Field, data):
-        arr = np.asarray(data, dtype=object if isinstance(field, RationalField) else np.int64)
+        if isinstance(field, RationalField):
+            arr = np.asarray(data, dtype=object)
+        else:
+            arr = np.asarray(data)
+            if arr.dtype.kind not in "bi":  # bool and signed ints cast to int64 exactly
+                arr = _residues(arr, field.p)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -319,6 +349,8 @@ class Mat:
         return Mat(self.field, -self.a)
 
     def scale(self, c) -> "Mat":
+        if isinstance(self.field, PrimeField) and isinstance(c, numbers.Integral):
+            c = int(c) % self.field.p  # any integer scales exactly; int64 holds the product
         return Mat(self.field, self.a * c)
 
     def __eq__(self, other) -> bool:
@@ -368,17 +400,18 @@ def _dot(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             return A.dot(B) % p
         return sum(A[:, k : k + step].dot(B[k : k + step]) % p
                    for k in range(0, A.shape[1], step)) % p
-    da, na = _clear_denominators(A)
-    db, nb = _clear_denominators(B)
-    ma = max(map(abs, na.reshape(-1).tolist()))
-    mb = max(map(abs, nb.reshape(-1).tolist()))
+    na, nb, d = A, B, 1
+    fa, fb = A.reshape(-1).tolist(), B.reshape(-1).tolist()
+    if not _all_int(fa + fb):
+        (da, na), (db, nb) = _clear_denominators(A), _clear_denominators(B)
+        d, fa, fb = da * db, na.reshape(-1).tolist(), nb.reshape(-1).tolist()
+    ma, mb = max(map(abs, fa)), max(map(abs, fb))
     if ma == 0 or mb == 0:
         return field.zeros((A.shape[0], B.shape[1]))
     if ma * mb * A.shape[1] <= 2**63 - 1:  # every partial sum fits in int64
         prod = na.astype(np.int64).dot(nb.astype(np.int64)).astype(object)
     else:
         prod = na.dot(nb)
-    d = da * db
     if d == 1:
         return prod
     out = np.empty(prod.shape, dtype=object)
@@ -445,11 +478,24 @@ def _reduced(m: Mat) -> tuple[tuple[int, ...], Callable]:
 
     Over F2 and F3 take unpacks only those columns of the packed elimination;
     over F3 negation swaps each column's P and N ints (-1 = 2), so a negated
-    read is as cheap as a plain one.  Other fields reduce densely.
+    read is as cheap as a plain one.  Over Q take divides only those columns
+    of the fraction-free rows by the last pivot (by its negative for a
+    negated read).  Larger primes reduce densely.
     """
     p, n = m.field.char, m.ncols
+    if p == 0:
+        rows, piv, prev = _eliminate_qq(m.a)
+
+        def take(cols, neg=False):
+            d, cols = -prev if neg else prev, list(cols)
+            out = np.empty((len(piv), len(cols)), dtype=object)
+            out.reshape(-1)[:] = [x // d if x % d == 0 else Fraction(x, d)
+                                  for row in rows[: len(piv)] for x in map(row.__getitem__, cols)]
+            return out
+
+        return tuple(piv), take
     if p not in _PACKED:
-        r, piv = _rref_fp(m.a.copy(), p) if p else _rref_qq(m.a)
+        r, piv = _rref_fp(m.a.copy(), p)
 
         def take(cols, neg=False):
             out = r[: len(piv), list(cols)]
@@ -586,11 +632,15 @@ def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, piv
 
 
-def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Fraction-free Gauss-Jordan: rows other than the pivot row become
-    (pv * x - f * y) / prev, exactly; then one division by the last pivot."""
+def _eliminate_qq(a: np.ndarray) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) on the rows of a, each scaled to
+    integers: rows other than the pivot row become (pv * x - f * y) / prev,
+    exactly.  Returns (rows, piv, prev): the first len(piv) rows, divided by
+    the last pivot prev, are the RREF's nonzero rows; the rest are zero."""
     mrows, ncols = a.shape
-    rows = [_clear_denominators(row)[1].tolist() for row in a]
+    rows = a.tolist()
+    if not _all_int(chain.from_iterable(rows)):
+        rows = [_clear_denominators(row)[1].tolist() for row in a]
 
     piv: list[int] = []
     r = 0
@@ -616,19 +666,16 @@ def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         prev = pv
         piv.append(c)
         r += 1
-
-    out = np.empty((mrows, ncols), dtype=object)
-    out[...] = 0
-    for i in range(r):
-        out[i, :] = [x // prev if x % prev == 0 else Fraction(x, prev) for x in rows[i]]
-    return out, piv
+    return rows, piv, prev
 
 
 def pivots(m: Mat) -> tuple[int, ...]:
-    """Pivot columns of m's RREF, read off the packed elimination over F2 and F3."""
-    if m.field.char in _PACKED:
-        return tuple(_PACKED[m.field.char](m.a)[2])
-    return _reduced(m)[0]
+    """Pivot columns of m's RREF, read off the packed elimination over F2 and
+    F3 and off the fraction-free one over Q, with nothing unpacked or divided."""
+    p = m.field.char
+    if p in _PACKED:
+        return tuple(_PACKED[p](m.a)[2])
+    return tuple(_eliminate_qq(m.a)[1]) if p == 0 else _reduced(m)[0]
 
 
 def rank(m: Mat) -> int:

@@ -26,7 +26,12 @@ ListModuleReference is the earlier explicit Module, one action Mat per
 algebra basis vector, kept as the oracle for Module's one action array;
 null_basis_reference and solve_reference read kernels and solutions off a
 dense RREF of the whole matrix, made without packing by the numpy prime
-field elimination, as the oracles for the packed _kernel and solve.
+field elimination, and over Q by rref_qq_reference, as the oracles for
+the packed _kernel and solve and for the column reads of the rational
+elimination.  rref_qq_reference and dot_qq_reference are the earlier
+rational RREF and product: denominators cleared row by row and operand by
+operand, and every column of the fraction-free rows divided by the last
+pivot.
 
 The dense references of the complex layer (chain_map_validate_reference,
 chain_map_compose_reference, chain_map_sub_reference, boundary_reference,
@@ -37,6 +42,7 @@ is key equality.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -45,12 +51,12 @@ from roofext.algebra import (
     Algebra, Filtration, Module, ModuleHom, free_module, hom_space, quiver_simple,
     random_bound_quiver_algebra, submodule, submodule_quotient)
 from roofext.complexes import ChainMap, Complex, Homotopy, QuasiIsoReport, cohomology
-from roofext.errors import DegenerateFiltrationError, SchemaError
+from roofext.errors import DegenerateFiltrationError, InvariantError, SchemaError
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
 from roofext.instances import random_ext_element, random_module
 from roofext.linalg import (
-    IncrementalSpan, Mat, PrimeField, _rref_fp, block_diag, hstack, kernel_basis, pivots,
-    random_mat, rank, rref, solve, subquotient)
+    QQ, IncrementalSpan, Mat, PrimeField, _clear_denominators, _rref_fp, block_diag, hstack,
+    kernel_basis, pivots, random_mat, rank, solve, subquotient)
 
 
 def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:
@@ -482,12 +488,74 @@ def free_module_reference(algebra: Algebra, rank_: int) -> ListModuleReference:
                                          for i in range(algebra.dim)])
 
 
+def rref_qq_reference(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Fraction-free Gauss-Jordan: rows other than the pivot row become
+    (pv * x - f * y) / prev, exactly; then one division by the last pivot."""
+    mrows, ncols = a.shape
+    rows = [_clear_denominators(row)[1].tolist() for row in a]
+
+    piv: list[int] = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == mrows:
+            break
+        sel = next((i for i in range(r, mrows) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        top = rows[r]
+        pv, top_sum = top[c], sum(top)
+        for i in (*range(r), *range(r + 1, mrows)):
+            row = rows[i]
+            f = row[c]
+            if f == 0 and pv == prev:  # the update would leave the row as it is
+                continue
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+            # floor remainders all share prev's sign, so they vanish iff their sum does
+            if pv * sum(row) - f * top_sum != prev * sum(rows[i]):
+                raise InvariantError("fraction-free elimination lost exact divisibility")
+        prev = pv
+        piv.append(c)
+        r += 1
+
+    out = QQ.zeros((mrows, ncols))
+    for i in range(r):
+        out[i, :] = [x // prev if x % prev == 0 else Fraction(x, prev) for x in rows[i]]
+    return out, piv
+
+
+def dot_qq_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The rational product with each operand's denominators cleared first."""
+    if A.shape[1] == 0 or A.shape[0] == 0 or B.shape[1] == 0:
+        return QQ.zeros((A.shape[0], B.shape[1]))
+    da, na = _clear_denominators(A)
+    db, nb = _clear_denominators(B)
+    ma = max(map(abs, na.reshape(-1).tolist()))
+    mb = max(map(abs, nb.reshape(-1).tolist()))
+    if ma == 0 or mb == 0:
+        return QQ.zeros((A.shape[0], B.shape[1]))
+    if ma * mb * A.shape[1] <= 2**63 - 1:  # every partial sum fits in int64
+        prod = na.astype(np.int64).dot(nb.astype(np.int64)).astype(object)
+    else:
+        prod = na.dot(nb)
+    d = da * db
+    if d == 1:
+        return prod
+    out = np.empty(prod.shape, dtype=object)
+    out.reshape(-1)[:] = [n // d if n % d == 0 else Fraction(n, d)
+                          for n in prod.reshape(-1).tolist()]
+    return out
+
+
 def dense_rref_reference(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """RREF by the numpy elimination over a prime field (never packed), rref over Q."""
+    """RREF by the numpy elimination over a prime field (never packed), and
+    by rref_qq_reference over Q."""
     if isinstance(m.field, PrimeField):
         r, piv = _rref_fp(m.a.copy(), m.field.p)
-        return Mat(m.field, r), tuple(piv)
-    return rref(m)
+    else:
+        r, piv = rref_qq_reference(m.a)
+    return Mat(m.field, r), tuple(piv)
 
 
 def null_basis_reference(r: Mat, piv: tuple[int, ...], n: int) -> tuple[Mat, tuple[int, ...]]:

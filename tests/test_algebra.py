@@ -613,12 +613,15 @@ F3 = GF(3)
 roofs.compose_roofs(roofs.ses_to_roof(ka3_first_step(F3)),
                     roofs.ses_to_roof(ka3_second_step(F3)).shift(1))
 """,
-    "packed-kernel-with-a-flipped-entry": """
+}
+# One pivot-row entry of every kernel off by one, over F3 (packed) and over
+# Q (fraction-free rows read at the free columns).
+_FLIPPED_KERNEL_PROBE = """
 import roofext.algebra as algebra
 import roofext.ext as ext
 import roofext.linalg as linalg
 from roofext.instances import ka3_first_step
-from roofext.linalg import GF, Mat
+from roofext.linalg import GF, QQ, Mat
 real = linalg._kernel
 def flipped(m):  # the first pivot row's first entry off by one
     K, free = real(m)
@@ -630,9 +633,12 @@ def flipped(m):  # the first pivot row's first entry off by one
     return Mat(K.field, a), free
 for module in (linalg, algebra, ext):
     module._kernel = flipped
-ext.class_of_extension(ka3_first_step(GF(3)))
-""",
-}
+ext.class_of_extension(ka3_first_step({field}))
+"""
+_INVARIANT_PROBES.update({
+    "packed-kernel-with-a-flipped-entry": _FLIPPED_KERNEL_PROBE.format(field="GF(3)"),
+    "qq-kernel-with-a-flipped-entry": _FLIPPED_KERNEL_PROBE.format(field="QQ"),
+})
 
 
 @pytest.mark.parametrize("name", sorted(_INVARIANT_PROBES))

@@ -4,6 +4,7 @@ Every test drives `main(argv)` in-process and reads stdout through capsys;
 one smoke test at the end exercises the installed console script.
 """
 
+import ast
 import hashlib
 import json
 import shlex
@@ -16,7 +17,7 @@ import pytest
 
 import roofext.cli as cli
 import roofext.ext as ext
-from roofext import jsonio
+from roofext import jsonio, linalg
 from roofext.algebra import Algebra, Module
 from roofext.cli import main
 from roofext.errors import AmbiguousChaseError, InvariantError
@@ -611,3 +612,32 @@ def test_console_script_smoke():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["chi"] == 0
+
+
+# -- the benchmark's fixture invocations ---------------------------------------
+
+
+def _bench_cli_commands() -> dict:
+    """CLI_COMMANDS of perfbench/run.py, read off its source without importing it."""
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(src.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CLI_COMMANDS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no CLI_COMMANDS")
+
+
+def test_fixture_commands_never_clear_denominators(monkeypatch, tmp_path):
+    """All rational data of the benchmark's nine fixture invocations is
+    integral, so their products, reductions and eliminations over Q take
+    the one type test and never rescan an array for its denominators."""
+    cleared, eliminated = [], []
+    clear, eliminate = linalg._clear_denominators, linalg._eliminate_qq
+    monkeypatch.setattr(linalg, "_clear_denominators",
+                        lambda a: cleared.append(a.shape) or clear(a))
+    monkeypatch.setattr(linalg, "_eliminate_qq",
+                        lambda a: eliminated.append(a.shape) or eliminate(a))
+    commands = _bench_cli_commands()
+    assert len(commands) == 9
+    for name, argv in commands.items():
+        assert main(argv + ["--json", "--out", str(tmp_path / "out.json")]) == 0, name
+    assert eliminated and not cleared

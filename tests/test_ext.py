@@ -9,6 +9,7 @@ and the product of the two arrow classes generates it.
 """
 
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -16,7 +17,7 @@ from helpers import ext_space_reference, greedy_generators_reference
 
 from roofext import cli, jsonio, linalg
 from roofext.algebra import direct_sum, free_module, hom_space, random_bound_quiver_algebra
-from roofext.errors import MiddleMismatchError, TruncationError
+from roofext.errors import MiddleMismatchError, SchemaError, TruncationError
 from roofext.ext import (
     SPLICE_PRODUCT_SIGN,
     ExtensionSeq,
@@ -113,23 +114,26 @@ def test_resolution_of_kx3_simple_is_periodic():
     assert res.ranks[:6] == [1, 1, 1, 1, 1, 1]
 
 
-def _count_eliminations(monkeypatch, names=("_reduced",)) -> list:
+def _count_eliminations(monkeypatch, names=("_reduced", "_eliminate_qq")) -> list:
     """Route every roofext binding of the named linalg eliminations through
     a counter; returns the list of reduced shapes, which grows as they are
-    called.  Every elimination that reads reduced rows (rref, _kernel,
-    solve) runs in _reduced, on every field.  Count pivots only over F2/F3,
-    where it does not call _reduced."""
+    called.  Every elimination over Q (rref, _kernel, solve, pivots, rank)
+    runs in _eliminate_qq, and every one over a prime field that reads
+    reduced rows runs in _reduced, so _reduced, which calls _eliminate_qq
+    over Q, is counted over prime fields only.  Count pivots only over
+    F2/F3, where it does not call _reduced."""
     calls = []
 
-    def counter(real):
+    def counter(real, prime_only):
         def counted(m):
-            calls.append(m.shape)
+            if not (prime_only and m.field.char == 0):
+                calls.append(m.shape)
             return real(m)
         return counted
 
     for fn in names:
         real = getattr(linalg, fn)
-        counted = counter(real)
+        counted = counter(real, fn == "_reduced")
         for name, module in list(sys.modules.items()):
             if name.startswith("roofext") and getattr(module, fn, None) is real:
                 monkeypatch.setattr(module, fn, counted)
@@ -395,6 +399,16 @@ def test_split_extension_is_trivial():
 def test_class_of_ka3_steps_nonzero():
     for e in (ka3_first_step(F3), ka3_second_step(F3)):
         assert not class_of_extension(e).is_zero()
+
+
+def test_scaling_an_fp_class_is_exact_or_refused():
+    """Over F3 an integer scalar of any size scales by its residue, and a
+    non-integral one is refused rather than truncated to an int."""
+    a = class_of_extension(ka3_first_step(F3))
+    assert a.scale(2**70) == a.scale(2**70 % 3) == a
+    assert a.scale(-(2**70)) == a.scale(2)
+    with pytest.raises(SchemaError, match="not an integer"):
+        a.scale(Fraction(1, 2))
 
 
 def test_class_is_lift_independent():

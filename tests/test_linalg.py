@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rref_reference, null_basis_reference, solve_reference
+from helpers import (
+    dense_rref_reference, dot_qq_reference, null_basis_reference, rref_qq_reference,
+    solve_reference)
 
 from roofext.algebra import free_module, random_bound_quiver_algebra
 from roofext.errors import SchemaError
@@ -31,6 +33,7 @@ from roofext.linalg import (
     field_from_name,
     hstack,
     kernel_basis,
+    pivots,
     random_mat,
     rank,
     rref,
@@ -199,6 +202,39 @@ def test_qq_dot_matches_fraction_reference():
         assert (a @ b).a.tolist() == want
 
 
+def test_qq_dot_on_both_sides_of_the_int64_bound():
+    """Integral products run in int64 exactly when every partial sum fits:
+    entries 2**31 cross 2**63 - 1 at inner dimension 2, entries 2**62 at 1."""
+    for e, inner in ((2**31, range(1, 5)), (2**62, (1, 2))):
+        for k in inner:
+            for signs in ([1] * k, [(-1) ** j for j in range(k)], [-1] * k):
+                a_rows = [[s * e for s in signs], [e - 1] * k]
+                b_rows = [[e, -e] for _ in range(k)]
+                a, b = Mat(QQ, a_rows), Mat(QQ, b_rows)
+                want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b_rows)]
+                        for row in a_rows]
+                got = _dot(QQ, a.a, b.a)
+                assert got.tolist() == want == dot_qq_reference(a.a, b.a).tolist()
+                assert _canonical_qq(got)
+
+
+def test_prime_field_mat_refuses_non_integers_and_reduces_big_ints():
+    for bad in (Fraction(1, 2), 0.5, 4.0, float("nan"), "1", 1j):
+        with pytest.raises(SchemaError, match="not an integer"):
+            Mat(F3, [[1, bad]])
+    with pytest.raises(SchemaError, match="not an integer"):
+        Mat(F3, [[1, 2]]).scale(Fraction(1, 2))
+    big = [[2**70, -(2**70)], [3**50 + 1, 2**64 + 5]]
+    assert Mat(F3, big).a.tolist() == [[x % 3 for x in row] for row in big]
+    assert Mat(F3, [[1, 2]]).scale(2**70).a.tolist() == [[2**70 % 3, 2**71 % 3]]
+    # integers of other types are taken exactly
+    mixed = Mat(F3, [[Fraction(6, 2), True, np.uint64(2**64 - 1)]])
+    assert mixed.a.tolist() == [[0, 1, (2**64 - 1) % 3]] and mixed.a.dtype == np.int64
+    x = np.array([[5, -1]], dtype=np.int64)
+    assert Mat(F3, x).a.tolist() == [[2, 2]] and Mat(F3, x).a.dtype == np.int64
+    assert Mat(F3, []).shape == (0, 1) and Mat(F3, np.zeros((2, 0))).shape == (2, 0)
+
+
 def test_matmul_large_prime_long_inner_dimension():
     # 9000 * (p-1)^2 exceeds int64; the product must still be exact
     field = GF(33554393)
@@ -336,6 +372,67 @@ def test_rref_matches_gauss_jordan_over_qq():
         assert red.shape == (m, n)
         assert red.a.tolist() == want and pivots == want_pivots
         assert _canonical_qq(red.a)
+
+
+def _draw_qq(rng, m, n):
+    """An m x n list of rationals: Fractions with mixed denominators or
+    integers (sometimes all integral), ints of size 2**70, zero rows and
+    columns, and dependent rows now and then."""
+    size = rng.choice([2, 9, 2**31, 2**70])
+    dens = rng.choice([(1,), (1, 1, 1, 2), (1, 2, 3, 5, 12, 2**20)])
+    rows = [[Fraction(rng.randint(-size, size), rng.choice(dens)) for _ in range(n)]
+            for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:  # a dependent row
+        i, j = rng.sample(range(m), 2)
+        rows[i] = [-2 * x for x in rows[j]]
+    if m and n and rng.random() < 0.2:
+        rows[rng.randrange(m)][rng.randrange(n)] = rng.choice([2**70, -(2**70)])
+    if m and rng.random() < 0.3:  # a zero row
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+    if n and rng.random() < 0.3:  # a zero column
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+    return [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+            for row in rows]
+
+
+def _qq(rows, m, n):
+    return Mat(QQ, np.array(rows, dtype=object).reshape(m, n))
+
+
+def test_qq_eliminations_and_products_match_references():
+    """On 2,000 random rational matrices the eliminations read off the
+    fraction-free rows (rref, _kernel, solve with and without an rng,
+    pivots, rank) and _dot agree with the earlier dense RREF and product;
+    Mat holds an int exactly where an entry is integral."""
+    rng = Random(0x0DD)
+    dims = [0, 1, 1, 2, 2, 3, 3, 4, 5, 6]
+    for t in range(2000):
+        m, n, k = rng.choice(dims), rng.choice(dims), rng.choice(dims)
+        rows = _draw_qq(rng, m, n)
+        a = _qq(rows, m, n)
+        flat = [Fraction(x) for row in rows for x in row]
+        assert a.a.reshape(-1).tolist() == flat
+        assert [type(x) is int for x in a.a.reshape(-1).tolist()] == \
+            [x.denominator == 1 for x in flat]
+        want, want_piv = rref_qq_reference(a.a)
+        red, piv = rref(a)
+        assert red.a.tolist() == want.tolist() and piv == tuple(want_piv)
+        assert pivots(a) == piv and rank(a) == len(piv)
+        K, free = _kernel(a)
+        want_K, want_free = null_basis_reference(Mat._of(QQ, want), piv, n)
+        assert free == want_free and K.a.tolist() == want_K.a.tolist()
+        c = _qq(_draw_qq(rng, n, k), n, k)
+        prod = _dot(QQ, a.a, c.a)
+        assert prod.tolist() == dot_qq_reference(a.a, c.a).tolist()
+        b = a @ c if rng.random() < 0.5 else _qq(_draw_qq(rng, m, k), m, k)
+        for seed in (None, t):
+            got = solve(a, b, None if seed is None else Random(seed))
+            ref = solve_reference(a, b, None if seed is None else Random(seed))
+            assert (got is None) == (ref is None)
+            assert got is None or (got.a.tolist() == ref.a.tolist() and _canonical_qq(got.a))
+        assert all(map(_canonical_qq, (red.a, K.a, prod)))
 
 
 # -- kernels, solving ---------------------------------------------------------
