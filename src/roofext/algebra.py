@@ -223,13 +223,6 @@ class Module:
             self._hit = self.act_all(Mat.identity(self.field, self.dim))
         return self._hit
 
-    @staticmethod
-    def from_act_all(algebra: Algebra, hit: Mat, label: str = "") -> "Module":
-        """Explicit module whose action matrices sit side by side in hit, as
-        act_all returns them: hit = [A_0 | A_1 | ...], stored as it is.  A
-        width other than dim A times its height raises SchemaError."""
-        return Module(algebra, action=hit, label=label)
-
     def validate(self) -> None:
         a, _, stacked = self._blocks()
         bad = _law_failure(self.algebra, stacked, a)
@@ -424,7 +417,7 @@ def submodule(module: Module, gens: Mat, label: str = "") -> ModuleHom:
     coords = moved.take_rows(piv)
     if basis @ coords != moved:
         raise InvariantError("closure failed to be action-stable")
-    sub = Module.from_act_all(module.algebra, coords, label=label)
+    sub = Module(module.algebra, action=coords, label=label)
     return ModuleHom(sub, module, basis, check=False)
 
 
@@ -448,7 +441,7 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
         i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
         raise NotSubmoduleError(f"image not stable under the action of e_{i}")
     section = Mat.identity(module.field, module.dim).take_cols(free)
-    quot = Module.from_act_all(module.algebra, proj @ module.act_all(section))
+    quot = Module(module.algebra, action=proj @ module.act_all(section))
     return quot, ModuleHom(module, quot, proj, check=False), section
 
 
@@ -494,7 +487,7 @@ def direct_sum(mods: list[Module]):
     for m, o in zip(mods, offs):
         if m.dim:
             hit[o:o + m.dim, :, o:o + m.dim] = m.actions().a.reshape(m.dim, n, m.dim)
-    amb = Module.from_act_all(algebra, Mat._of(field, hit.reshape(offs[-1], n * offs[-1])))
+    amb = Module(algebra, action=Mat._of(field, hit.reshape(offs[-1], n * offs[-1])))
     eye = Mat.identity(field, offs[-1]).a
     injs = [ModuleHom(m, amb, Mat._of(field, eye[:, o:o + m.dim]), check=False)
             for m, o in zip(mods, offs)]
@@ -585,7 +578,7 @@ def quiver_simple(algebra: Algebra, vertex: int) -> Module:
     if algebra.quiver is None or not 0 <= vertex < algebra.quiver["vertices"]:
         raise ValueError(f"algebra has no quiver with a vertex {vertex}")
     hit = Mat(algebra.field, np.eye(1, algebra.dim, vertex, dtype=np.int64))
-    return Module.from_act_all(algebra, hit, label=f"S{vertex}")
+    return Module(algebra, action=hit, label=f"S{vertex}")
 
 
 def _random_quiver_shape(rng: Random, max_vertices: int = 3, max_arrows: int = 3) -> tuple:

@@ -286,7 +286,7 @@ def cohomology(x: Complex, n: int) -> CohomologyData:
     key = ("H", n)
     if key not in x._cache:
         Z, include, project = subquotient(x.diff(n).matrix, x.diff(n - 1).matrix)
-        module = Module.from_act_all(x.algebra, project @ x.obj(n).act_all(include))
+        module = Module(x.algebra, action=project @ x.obj(n).act_all(include))
         x._cache[key] = CohomologyData(module=module, cocycles=Z, include=include,
                                        project=project)
     return x._cache[key]

@@ -6,19 +6,17 @@ filtration (x^2) in (x) in A, and the A3 quiver with radical square zero,
 whose simples carry the canonical nonzero degree-2 product.  The random
 generators draw small bound-quiver algebras, modules, filtrations,
 composable extension pairs, and bounded complexes from an explicit Random,
-so runs are reproducible from a seed.  The rejection samplers decide each
-draw by Nakayama's top test or by ranks in regular-module coordinates (see
-_draw_module), and build only the draw they return: random_filtration
-decides on a quiver shape's table, so it builds one algebra per filtration.
-Per try, the table comes from the shape's stored pattern of 1s (see
-algebra._quiver_table), the top test reads the raw draws before any array
-exists, and a decision computes nothing until its rank or its module is
-asked for; a kept quotient is built from the rows it was decided on.
+so runs are reproducible from a seed.  A drawn module is its table, the
+stacked blocks of Module._blocks: one elimination decides it and makes it
+(see _draw_module), and a kept table that passes the module laws becomes a
+Module by one reshape.  random_filtration draws on a quiver shape's table,
+from its stored pattern of 1s (see algebra._quiver_table), makes a try's
+table only past dim 3, reads the submodule ranks in it, and builds one
+algebra per filtration.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from random import Random
 from typing import Callable
 
@@ -30,6 +28,7 @@ from .algebra import (
     Module,
     ModuleHom,
     _hom_matrix,
+    _law_failure,
     _quiver_table,
     _random_quiver_shape,
     bound_quiver_algebra,
@@ -51,10 +50,11 @@ from .linalg import (
     _dot,
     _draw_offset,
     _draws_array,
+    _null_basis,
     _random_draws,
+    _reduced,
     block_diag,
     hstack,
-    pivots,
     random_mat,
     rank,
 )
@@ -158,109 +158,101 @@ def _images(field: Field, stacked: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return _dot(field, stacked, gens).reshape(-1, a, k).transpose(0, 2, 1).reshape(-1, a)
 
 
-# a draw: (dimension, rank_of, builder), where rank_of(g) = dim A g in the module
-_Draw = tuple[int, Callable[[Mat], int], Callable[[], Module]]
+def _rank_of(table: np.ndarray, g: Mat) -> int:
+    """dim A g in the module on which e_i acts by the i-th square block of table."""
+    return rank(Mat._of(g.field, _images(g.field, table, g.a)))
 
 
 def _draw_module(rng: Random, field: Field, nv: int | None, stacked: np.ndarray,
-                 algebra: Callable[[], Algebra], max_dim: int = 4, tries: int = 64) -> _Draw:
-    """random_module's draw, decided in F = A^1 from A's vertex count nv (None:
-    no quiver) and left-regular table stacked; only the builder calls algebra().
+                 max_dim: int = 4, tries: int = 64) -> tuple[int, Callable[[], np.ndarray]]:
+    """random_module's draw over the algebra A with nv vertices (None: no
+    quiver) and left-regular table stacked, as (dim, table): table() makes
+    the drawn module's own table, laid out as stacked.
 
-    Generators gens leave G = F / A gens.  Nakayama's top test runs on the raw
-    draws, so a draw whose generators span F makes no array.  With rows = [e_s
-    g_j] of rank n, dim G = F.dim - n; G is built as submodule_quotient(F,
-    rows.T), as the canonical quotient depends only on the span of rows.  The
-    pivots of rows are those of that quotient's kernel, so its section lifts g
-    in G to g off them, 0 on them, and dim A g = rank [rows; e_s lift g] - n.
-    Building F checks that stacked is the built algebra's table.  Giving up
-    over an algebra without a quiver raises DegenerateFiltrationError.
+    The draw is F = A^1 (table stacked), the simple S_v (one column), or
+    G = F / A gens.  Nakayama's top test reads the raw draws of gens, so a
+    draw whose generators span F makes no array; else the rows [e_s g_j]
+    are reduced once, and their pivots give dim G and their null basis its
+    table (see _quotient_table).  Giving up over an algebra without a quiver
+    raises DegenerateFiltrationError.
     """
     n = stacked.shape[1]
-
-    def regular() -> Module:
-        free = free_module(algebra(), 1)
-        if not np.array_equal(free._blocks()[2], stacked):
-            raise InvariantError("a module was decided on a table that is not its algebra's")
-        return free
-
     if n <= max_dim and rng.random() < 0.2:
-        return _decided(field, stacked, regular)
+        return n, lambda: stacked
     zero = _draw_offset(field)
     for _ in range(tries):
         k = rng.randint(1, max(1, n - 1))
         draws = _random_draws(rng, field, n * k)
         if nv is not None and _generates_regular(nv, draws, k, zero):
             continue
-        rows = Mat._of(field, _images(field, stacked, _draws_array(field, draws, n, k)))
-        piv = pivots(rows)
+        rows = _images(field, stacked, _draws_array(field, draws, n, k))
+        piv, take = _reduced(Mat._of(field, rows))
         if piv and 1 <= n - len(piv) <= max_dim:
-            return _decided(field, stacked, lambda: submodule_quotient(regular(), rows.T)[0],
-                            rows, piv)
+            return n - len(piv), lambda: _quotient_table(field, stacked, piv, take)
     if nv is not None:
-        v = rng.randrange(nv)  # e_i acts on S_v by 1 if i = v, else by 0
-        return _decided(field, field.reduce(np.eye(n, 1, -v, dtype=np.int64)),
-                        lambda: quiver_simple(algebra(), v))
+        v = rng.randrange(nv)  # e_v acts on S_v by 1, every other e_i by 0
+        return 1, lambda: field.reduce(np.eye(n, 1, -v, dtype=np.int64))
     raise DegenerateFiltrationError(f"no small random module in {tries} tries")
 
 
-def _decided(field: Field, stacked: np.ndarray, make: Callable[[], Module],
-             rows: Mat | None = None, piv: tuple[int, ...] = ()) -> _Draw:
-    """The draw of G = M / span(rows.T), e_i acting on M by the i-th square block
-    of stacked, piv the pivots of rows; build() checks make() gives that dim G.
-    Nothing is computed until rank_of or build runs."""
-    dim = stacked.shape[1] - len(piv)
-
-    def rank_of(g: Mat) -> int:
-        lift = field.zeros((stacked.shape[1], g.ncols))
-        lift[[j for j in range(stacked.shape[1]) if j not in piv]] = g.a
-        hit = _images(field, stacked, lift)
-        stack = hit if rows is None else np.vstack([rows.a, hit])
-        return rank(Mat._of(field, stack)) - len(piv)
-
-    def build() -> Module:
-        out = make()
-        if out.dim != dim:
-            raise InvariantError(f"a module decided at dimension {dim} was built at {out.dim}")
-        return out
-
-    return dim, rank_of, build
+def _quotient_table(field: Field, stacked: np.ndarray, piv: tuple[int, ...],
+                    take: Callable) -> np.ndarray:
+    """The table of F / span(rows) for rows reduced to (piv, take), e_i acting
+    on F by M_i, the i-th block of stacked: with K, free their null basis, e_i
+    acts by K.T @ M_i[:, free], as in submodule_quotient(F, rows.T)."""
+    n = stacked.shape[1]
+    K, free = _null_basis(field, piv, take, n)
+    d = len(free)
+    cols = stacked.reshape(-1, n, n)[:, :, list(free)].transpose(1, 0, 2).reshape(n, -1)
+    return _dot(field, K.a.T, cols).reshape(d, -1, d).transpose(1, 0, 2).reshape(-1, d)
 
 
-def _draw_over(rng: Random, algebra: Algebra, max_dim: int, tries: int = 64) -> _Draw:
-    """_draw_module over an algebra that is already built."""
-    return _draw_module(rng, algebra.field, algebra.quiver and algebra.quiver["vertices"],
-                        free_module(algebra, 1)._blocks()[2], lambda: algebra, max_dim, tries)
+def _module(algebra: Algebra, table: np.ndarray, stacked: np.ndarray | None = None) -> Module:
+    """The module on which e_i acts by the i-th square block of table.  A table
+    that fails the module laws, or one drawn on a stacked other than
+    algebra's left-regular table, raises InvariantError."""
+    if stacked is not None and not np.array_equal(free_module(algebra, 1)._blocks()[2], stacked):
+        raise InvariantError("a module was decided on a table that is not its algebra's")
+    d = table.shape[1]
+    if _law_failure(algebra, table, d) is not None:
+        raise InvariantError("a drawn module's table fails the module laws")
+    hit = table.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    return Module(algebra, action=Mat._of(algebra.field, hit))
 
 
 def random_module(rng: Random, algebra: Algebra, max_dim: int = 4,
                   tries: int = 64) -> Module:
-    """A random quotient of the regular module with 1 <= dim <= max_dim;
-    DegenerateFiltrationError if none is found over an algebra without a quiver."""
-    return _draw_over(rng, algebra, max_dim, tries)[2]()
+    """A random quotient of the regular module with 1 <= dim <= max_dim, as an
+    explicit module; DegenerateFiltrationError if none is found over an
+    algebra without a quiver."""
+    nv = algebra.quiver and algebra.quiver["vertices"]
+    stacked = free_module(algebra, 1)._blocks()[2]
+    return _module(algebra, _draw_module(rng, algebra.field, nv, stacked, max_dim, tries)[1]())
 
 
 def random_filtration(rng: Random, field: Field, max_dim: int = 6,
                       tries: int = 400) -> Filtration:
     """A nondegenerate nested pair F1 in F2 in G over a random quiver algebra.
 
-    Each try decides G on a drawn quiver shape's left-regular table, and F1 =
-    A g1 and F2 = A [g1 | g2] on their ranks in regular-module coordinates (see
-    _draw_module); only the draw returned is built, its algebra included.
+    Each try draws G on a drawn quiver shape's left-regular table (see
+    _draw_module), makes G's table if dim G >= 3, and decides F1 = A g1 and
+    F2 = A [g1 | g2] on their ranks in it; only the draw returned is built,
+    its algebra included.
     """
     for _ in range(tries):
         shape = _random_quiver_shape(rng)
-        dim, rank_of, build = _draw_module(rng, field, shape[0], _quiver_table(field, *shape),
-                                           partial(bound_quiver_algebra, field, *shape), max_dim)
+        stacked = _quiver_table(field, *shape)
+        dim, table = _draw_module(rng, field, shape[0], stacked, max_dim)
         if dim < 3:
             continue
+        table = table()
         g1 = random_mat(rng, field, dim, 1)
-        if not 1 <= (r1 := rank_of(g1)) <= dim - 2:
+        if not 1 <= (r1 := _rank_of(table, g1)) <= dim - 2:
             continue
         g12 = hstack([g1, random_mat(rng, field, dim, 1)])
-        if not r1 < (r12 := rank_of(g12)) < dim:
+        if not r1 < (r12 := _rank_of(table, g12)) < dim:
             continue
-        ambient = build()
+        ambient = _module(bound_quiver_algebra(field, *shape), table, stacked)
         filt = Filtration(ambient, submodule(ambient, g1), submodule(ambient, g12))
         if (filt.f1.source.dim, filt.f2.source.dim) != (r1, r12):
             raise InvariantError("a built filtration differs from the ranks it was decided on")
@@ -286,23 +278,19 @@ def _random_ses_chain(rng: Random, field: Field, length: int,
                       tries: int) -> tuple[ExtensionSeq, ...]:
     """length composable extensions over one algebra.
 
-    Draws modules M_0, ..., M_length; E_k classifies Ext^1(M_(k-1), M_k),
-    so the sub of each sequence is the quotient of the next.  All of them
-    are drawn first, but M_(k+1) is built only when the Ext^1 checks reach
-    it; building takes no rng, so the draw stream is that of drawing and
-    building each in turn.  Giving up raises DegenerateFiltrationError.
+    Draws modules M_0, ..., M_length, each built at once as random_module
+    does; E_k classifies Ext^1(M_(k-1), M_k), so the sub of each sequence is
+    the quotient of the next.  Giving up raises DegenerateFiltrationError.
     """
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        builds = [_draw_over(rng, algebra, 4)[2] for _ in range(length + 1)]
-        src, bases = builds[0](), []
-        for build in builds[1:]:
-            dst = build()
+        mods = [random_module(rng, algebra, 4) for _ in range(length + 1)]
+        bases = []
+        for src, dst in zip(mods, mods[1:]):
             dim, basis = ext_group(src, dst, 1)
             if dim == 0:
                 break
             bases.append(basis)
-            src = dst
         else:
             return tuple(extension_from_class(random_ext_element(rng, b)) for b in bases)
     raise DegenerateFiltrationError(f"no composable chain of {length} extensions in {tries} tries")

@@ -35,7 +35,8 @@ off the elimination, with no unpacking; larger primes use numpy.  Kernel
 bases and solutions unpack only the columns they read (see _reduced).
 Every Mat holds a read-only array in canonical form: `Mat(field, data)`
 reduces it (over F_p exactly for ints of any size, refusing an entry that
-is not an integer with SchemaError), and results that are canonical by
+is not an integer, and over Q one that is not a rational number, such as
+a float or a string, with SchemaError), and results that are canonical by
 construction skip that through `Mat._of`; a kernel basis is one of them,
 as _reduced negates in the field.
 """
@@ -113,6 +114,9 @@ class RationalField(Field):
         out = np.array(arr, dtype=object)
         flat = out.reshape(-1).tolist()
         if not _all_int(flat):
+            for x in flat:
+                if not isinstance(x, numbers.Rational):
+                    raise SchemaError(f"{x!r:.40} is not a rational number (parse strings first)")
             out.reshape(-1)[:] = [x if type(x) is int else _canonical(x) for x in flat]
         return out
 

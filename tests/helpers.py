@@ -14,13 +14,15 @@ structure constants of a bound quiver algebra path pair by path pair, and
 ext_space_reference cuts the Ext^i cocycles out with the generators of
 P_(i+1) of a resolution extended one degree further, and
 greedy_generators_reference picks generators one membership test at a time
-in an IncrementalSpan, ses_chain_reference builds every module it draws,
-and random_filtration_reference builds the algebra of every filtration try
-and decides its module on that algebra's free module; all eight are the
-package's earlier constructions, kept as oracles for is_quasi_iso,
-direct_sum, _hom_matrix, bound_quiver_algebra, ext._ExtSpace,
-ext._greedy_generators, instances._random_ses_chain and
-instances.random_filtration.
+in an IncrementalSpan, and _draw_module_reference decides a module draw on
+the free module of a built algebra, reads ranks by lifting to it, and builds
+the drawn quotient with submodule and submodule_quotient;
+random_filtration_reference draws through it on an algebra built for every
+filtration try, and ses_chain_reference draws every module of a chain
+through it.  All of them are the package's earlier constructions, kept as
+oracles for is_quasi_iso, direct_sum, _hom_matrix, bound_quiver_algebra,
+ext._ExtSpace, ext._greedy_generators, instances.random_module,
+instances.random_filtration and instances._random_ses_chain.
 
 ListModuleReference is the earlier explicit Module, one action Mat per
 algebra basis vector, kept as the oracle for Module's one action array;
@@ -53,7 +55,7 @@ from roofext.algebra import (
 from roofext.complexes import ChainMap, Complex, Homotopy, QuasiIsoReport, cohomology
 from roofext.errors import DegenerateFiltrationError, InvariantError, SchemaError
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
-from roofext.instances import random_ext_element, random_module
+from roofext.instances import random_ext_element
 from roofext.linalg import (
     QQ, IncrementalSpan, Mat, PrimeField, _clear_denominators, _rref_fp, block_diag, hstack,
     kernel_basis, pivots, random_mat, rank, solve, subquotient)
@@ -325,10 +327,11 @@ def greedy_generators_reference(ambient: Module, basis: Mat) -> Mat:
 
 def ses_chain_reference(rng: Random, field, length: int, tries: int) -> tuple:
     """length composable extensions over one algebra, each of the modules
-    M_0..M_length built as soon as it is drawn."""
+    M_0..M_length drawn on the free module and built as a submodule quotient
+    (_draw_module_reference)."""
     for _ in range(tries):
         algebra = random_bound_quiver_algebra(rng, field)
-        mods = [random_module(rng, algebra, 4) for _ in range(length + 1)]
+        mods = [_draw_module_reference(rng, algebra, 4)[2]() for _ in range(length + 1)]
         bases = []
         for src, dst in zip(mods, mods[1:]):
             dim, basis = ext_group(src, dst, 1)

@@ -5,7 +5,7 @@ from collections import Counter
 from random import Random
 
 import pytest
-from helpers import random_filtration_reference, ses_chain_reference
+from helpers import _draw_module_reference, random_filtration_reference, ses_chain_reference
 
 import roofext.algebra as algebra_module
 import roofext.instances as instances
@@ -258,46 +258,87 @@ def test_seeded_draws_are_pinned(kind, name):
 @pytest.mark.parametrize("name", ["f2", "f3"])
 def test_filtration_sampler_builds_only_kept_draws(monkeypatch, name):
     # Rejected draws are decided from ranks alone: submodule runs only for F1
-    # and F2 of each returned filtration (a quotient ambient is built from its
-    # decision rows, with no submodule), and a quotient is built only for an
-    # ambient that passes dim >= 3.
-    subs, quotient_dims = [], []
+    # and F2 of each returned filtration, and an ambient is built from its
+    # drawn table, with no submodule_quotient.
+    subs, quotients = [], []
 
     def counted_submodule(*args, **kwargs):
         subs.append(1)
         return real_submodule(*args, **kwargs)
 
-    def counted_quotient(*args, **kwargs):
-        out = real_quotient(*args, **kwargs)
-        quotient_dims.append(out[0].dim)
-        return out
-
-    real_submodule, real_quotient = instances.submodule, instances.submodule_quotient
+    real_submodule = instances.submodule
     monkeypatch.setattr(instances, "submodule", counted_submodule)
-    monkeypatch.setattr(instances, "submodule_quotient", counted_quotient)
+    monkeypatch.setattr(instances, "submodule_quotient", lambda *a: quotients.append(1))
     docs = _seeded_draws("filtration", field_from_name(name))
-    assert len(subs) == 2 * len(docs)
-    assert all(dim >= 3 for dim in quotient_dims)
-    assert len(quotient_dims) <= len(docs)
+    assert len(subs) == 2 * len(docs) and not quotients
 
 
-def test_ses_sampler_builds_only_the_modules_it_checks(monkeypatch):
-    """On criterion 4's seed (10 pairs, then 5 triples) the sampler builds
-    fewer quotients than building every drawn module at once, and leaves
-    the same sequences and the same rng state."""
-    built = []
-    real = instances.submodule_quotient
-    monkeypatch.setattr(instances, "submodule_quotient", lambda *a: built.append(1) or real(*a))
+@pytest.mark.parametrize("name", ["f2", "f3"])
+def test_filtration_tries_make_a_table_only_past_dim_3(monkeypatch, name):
+    """Over 60 seeded filtrations, a try's table is made once when its draw
+    has dim >= 3, and never for a smaller draw, and the rows of each draw
+    past the top test are eliminated once."""
+    draws, arrays, reductions = [], [], []  # draws: [dim, tables made] per try
+
+    def draw_module(*args, **kwargs):
+        dim, table = real(*args, **kwargs)
+        draws.append([dim, 0])
+        record = draws[-1]
+
+        def counted():
+            record[1] += 1
+            return table()
+
+        return dim, counted
+
+    real, real_array, real_reduced = (instances._draw_module, instances._draws_array,
+                                      instances._reduced)
+    monkeypatch.setattr(instances, "_draw_module", draw_module)
+    monkeypatch.setattr(instances, "_draws_array", lambda *a: arrays.append(1) or real_array(*a))
+    monkeypatch.setattr(instances, "_reduced", lambda m: reductions.append(1) or real_reduced(m))
+    rng, field = Random(0x1A2E), field_from_name(name)
+    for _ in range(60):
+        random_filtration(rng, field)
+    assert all(made == (dim >= 3) for dim, made in draws)
+    assert {dim >= 3 for dim, _ in draws} == {True, False}
+    assert len(reductions) == len(arrays) > 0
+
+
+def test_ses_sampler_matches_the_reference_without_quotients(monkeypatch):
+    """On criterion 4's seed (10 pairs, then 5 triples) the sampler gives the
+    sequences and the rng state of the reference, which builds each drawn
+    module as a submodule quotient, and calls submodule_quotient nowhere."""
+    quotients = []
+    monkeypatch.setattr(instances, "submodule_quotient", lambda *a: quotients.append(1))
     runs = []
     for chain in (instances._random_ses_chain, ses_chain_reference):
-        built.clear()
         rng = Random(0x400F)
         docs = [[extension_to_json(e) for e in chain(rng, (F2, F3)[i % 2], 2 + (i >= 10), 800)]
                 for i in range(15)]
-        runs.append((dump_canonical(docs), rng.getstate(), len(built)))
-    (lazy_docs, lazy_state, lazy), (eager_docs, eager_state, eager) = runs
-    assert lazy_docs == eager_docs and lazy_state == eager_state
-    assert lazy < eager
+        runs.append((dump_canonical(docs), rng.getstate()))
+    assert runs[0] == runs[1]
+    assert not quotients
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["F2", "F3", "F5", "QQ"])
+def test_random_module_matches_the_reference_draw(field):
+    """random_module draws and builds the module of the reference, which
+    decides on the free module and builds a submodule quotient, over 48
+    seeded algebras, through each of the free, quotient and simple draws,
+    and leaves the same rng state; every module it returns is explicit."""
+    runs = []
+    for draw in (random_module, lambda *a: _draw_module_reference(*a)[2]()):
+        rng = Random(0x3D0D + field.char)
+        mods = []
+        for t in range(48):
+            algebra = random_bound_quiver_algebra(rng, field)
+            mods.append(draw(rng, algebra, (4, 6)[t % 2], 64 if t % 3 else 0))
+        runs.append((mods, rng.getstate()))
+    (mods, state), (ref_mods, ref_state) = runs
+    assert [m.key() for m in mods] == [m.key() for m in ref_mods] and state == ref_state
+    assert not any(m.is_free for m in mods)
+    assert {m.dim == m.algebra.dim for m in mods} == {True, False}
+    assert 1 in {m.dim for m in mods}
 
 
 @pytest.mark.parametrize("name, count", [("f2", 60), ("f3", 60), ("f5", 60), ("q", 20)])
@@ -387,38 +428,52 @@ def test_filtration_sampler_checks_what_it_built(monkeypatch):
         random_filtration(Random(0xD1A5), F2)
 
 
-def test_module_builder_checks_its_dimension(monkeypatch):
-    # A quotient by nothing is the free module, not the decided quotient.
-    monkeypatch.setattr(instances, "submodule_quotient", lambda m, incl: (m, None, None))
+def test_drawn_module_checks_its_table(monkeypatch):
+    # Transposed blocks are the action of the opposite algebra: a drawn table
+    # that fails the module laws is refused before it becomes a module.
+    real = instances._draw_module
+
+    def transposed(*args):
+        dim, table = real(*args)
+        return dim, lambda: table().reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim)
+
+    monkeypatch.setattr(instances, "_draw_module", transposed)
     rng = Random(0xD1A5)
-    with pytest.raises(InvariantError, match="was built at"):
+    with pytest.raises(InvariantError, match="fails the module laws"):
         for _ in range(40):
             random_module(rng, random_bound_quiver_algebra(rng, F3))
-
-
-def _branch(module):
-    if module.is_free:
-        return "free"
-    return "simple" if module.label.startswith("S") else "quotient"
+    # a table decided on another algebra's regular table is refused as well
+    algebra, other = (random_bound_quiver_algebra(Random(seed), F3) for seed in (1, 2))
+    table = free_module(algebra, 1)._blocks()[2]
+    assert algebra.dim != other.dim
+    with pytest.raises(InvariantError, match="not its algebra's"):
+        instances._module(algebra, table, free_module(other, 1)._blocks()[2])
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["F2", "F3", "F5", "QQ"])
 def test_decided_rank_is_the_built_rank(field):
-    """rank_of(g), read in regular-module coordinates, is the rank of A g in
-    the module the draw builds."""
+    """_rank_of(table, g), read in a drawn table, is the rank of A g in the
+    module built from it: the free table is the regular table itself, the
+    simple table has one column, and a quotient's is made from its rows."""
     rng = Random(0xDEC1DE)
     branches, outcomes = set(), set()
     for t in range(40):
         algebra = random_bound_quiver_algebra(rng, field)
+        stacked = free_module(algebra, 1)._blocks()[2]
         # tries=0 skips the quotient draws: the free draw or the simple fallback
-        dim, rank_of, build = instances._draw_over(rng, algebra, 6, 64 if t % 4 else 0)
-        module = build()
-        branches.add(_branch(module))
+        tries = 64 if t % 4 else 0
+        dim, table = instances._draw_module(rng, field, algebra.quiver["vertices"], stacked,
+                                            6, tries)
+        table = table()
+        module = instances._module(algebra, table, stacked)
+        branch = "free" if table is stacked else "quotient" if tries else "simple"
+        branches.add(branch)
+        assert module.dim == dim == table.shape[1] and (branch != "simple" or dim == 1)
         for cols in (1, 2):
             g = random_mat(rng, field, dim, cols).a.copy()
             g[[rng.random() < 0.5 for _ in range(dim)]] = 0  # not always a generator
             g = Mat(field, g)
-            r = rank_of(g)
+            r = instances._rank_of(table, g)
             assert r == rank(module.act_all(g)) == _closure(module, g)[0].ncols
             outcomes.add(1 <= r <= dim - 2)
     assert branches == {"free", "simple", "quotient"}

@@ -53,7 +53,7 @@ def test_parse_document_errors():
 
 
 def test_mat_roundtrip_qq():
-    m = Mat(QQ, [["1/2", 3], [0, "-7/3"]])
+    m = Mat(QQ, [[QQ.parse(x) for x in row] for row in [["1/2", 3], [0, "-7/3"]]])
     data = mat_to_json(m)
     again = mat_from_json(QQ, data, 2, 2, "m")
     assert again == m

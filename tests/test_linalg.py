@@ -235,6 +235,20 @@ def test_prime_field_mat_refuses_non_integers_and_reduces_big_ints():
     assert Mat(F3, []).shape == (0, 1) and Mat(F3, np.zeros((2, 0))).shape == (2, 0)
 
 
+
+def test_rational_mat_refuses_floats_and_strings():
+    # a float would be taken at its binary value, a string past parse's grammar
+    for bad in (0.1, 4.0, float("inf"), float("nan"), "1e3", "1/2", 1j, None):
+        with pytest.raises(SchemaError, match="not a rational number"):
+            Mat(QQ, [[1, bad]])
+    with pytest.raises(SchemaError, match="not a rational number"):
+        Mat(QQ, [[1, 2]]).scale(0.5)
+    # rationals of other types are taken exactly, in canonical form
+    mixed = Mat(QQ, [[True, np.int64(3), Fraction(4, 2), Fraction(1, 2)]])
+    assert mixed.a.tolist() == [[1, 3, 2, Fraction(1, 2)]]
+    assert [type(x) for x in mixed.a[0]] == [int, int, int, Fraction]
+    assert Mat(QQ, [[1, 2]]).scale(Fraction(1, 2)).a.tolist() == [[Fraction(1, 2), 1]]
+
 def test_matmul_large_prime_long_inner_dimension():
     # 9000 * (p-1)^2 exceeds int64; the product must still be exact
     field = GF(33554393)
