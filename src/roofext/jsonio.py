@@ -77,6 +77,8 @@ def load_document(path: str) -> dict:
         raise SchemaError(f"input file not found: {path}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, which the CLI takes for a bug
+        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_document(text, path)
 
 

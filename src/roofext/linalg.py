@@ -28,11 +28,18 @@ quotients would.  The reduced form is those rows divided by the last
 pivot, and that division is made only at the columns a caller reads (see
 _reduced); pivots and rank make none.
 
-Elimination over F2 and F3 runs on column-packed ints (F2: one int per
-column, bit i for row i; F3: two, the rows holding 1 and those holding 2),
-without row swaps, and `pivots` (so `rank`) there reads the pivot columns
-off the elimination, with no unpacking; larger primes use numpy.  Kernel
-bases and solutions unpack only the columns they read (see _reduced).
+Elimination over F_p has two regimes, for two fixed costs.  A matrix of at
+most _ROW_CELLS cells (nine in ten of those a lemma check reduces) is
+eliminated on the Python lists of its rows, and its pivots, RREF rows,
+kernel basis and solutions are read off those lists into one array each: at
+that size a numpy call, or packing and unpacking, costs more than the
+arithmetic.  Above the bound elimination over F2 and F3 runs on
+column-packed ints (F2: one int per column, bit i for row i; F3: two, the
+rows holding 1 and those holding 2), without row swaps, which updates a
+whole column per int operation; `pivots` (so `rank`) there reads the pivot
+columns off the elimination, with no unpacking, and kernel bases and
+solutions unpack only the columns they read (see _reduced).  Larger primes
+use numpy above the bound.
 Every Mat holds a read-only array in canonical form: `Mat(field, data)`
 reduces it (over F_p exactly for ints of any size, refusing an entry that
 is not an integer, and over Q one that is not a rational number, such as
@@ -47,7 +54,7 @@ import math
 import numbers
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from random import Random
 from typing import Callable
 
@@ -325,9 +332,7 @@ class Mat:
         return Mat._of(self.field, self.a.T.copy())
 
     def is_zero(self) -> bool:
-        if self.a.size == 0:
-            return True
-        return not (self.a != 0).any()
+        return not self.a.any()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -437,20 +442,18 @@ def _clear_denominators(a: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def hstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
-    return Mat._of(field, np.hstack([m.a for m in mats]))
+    return Mat._of(mats[0].field, np.concatenate([m.a for m in mats], axis=1))
 
 
 def vstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
-    return Mat._of(field, np.vstack([m.a for m in mats]))
+    return Mat._of(mats[0].field, np.concatenate([m.a for m in mats]))
 
 
 def block_matrix(field: Field, rows: list[int], cols: list[int],
                  parts: dict[tuple[int, int], Mat]) -> Mat:
     """Block rows of heights rows, block columns of widths cols, parts[r, c]
     in block (r, c) and zeros in every block parts leaves out."""
-    ro, co = np.cumsum([0, *rows]).tolist(), np.cumsum([0, *cols]).tolist()
+    ro, co = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
     out = field.zeros((ro[-1], co[-1]))
     for (r, c), m in parts.items():
         if m.shape != (rows[r], cols[c]):
@@ -476,47 +479,118 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def _reduced(m: Mat) -> tuple[tuple[int, ...], Callable]:
-    """(piv, take): the pivot columns of m's RREF, and take(cols, neg=False),
-    the array of its first len(piv) rows at cols, negated if neg.  Every
+    """(piv, take): the pivot columns of m's RREF, and take(cols, neg=False,
+    rows=None), the array of its first len(piv) rows at cols, negated if neg.
+    With rows=n the array has n rows instead: reduced row t is row piv[t],
+    and every other row j is the unit vector e_j read at cols, so the kernel
+    basis of the first n columns is take(free, neg=True, rows=n) and a
+    solution read off [m | b] is take(b's columns, rows=n).  Every
     elimination that reads reduced rows (rref, _kernel, solve) runs here.
 
-    Over F2 and F3 take unpacks only those columns of the packed elimination;
-    over F3 negation swaps each column's P and N ints (-1 = 2), so a negated
-    read is as cheap as a plain one.  Over Q take divides only those columns
-    of the fraction-free rows by the last pivot (by its negative for a
-    negated read).  Larger primes reduce densely.
+    Two regimes over F_p, for two fixed costs.  A matrix of at most
+    _ROW_CELLS cells is eliminated on the Python lists of a.tolist(), and
+    take reads those lists into one array: at that size a numpy call or a
+    pack and unpack costs more than the arithmetic.  Above it, F2 and F3 run
+    the packed elimination, whose column updates are one int operation per
+    pivot however many rows there are, and take unpacks only the columns it
+    reads; over F3 negation swaps each column's P and N ints (-1 = 2), so a
+    negated read is as cheap as a plain one.  Larger primes reduce densely
+    with numpy.  Over Q take divides only the columns it reads of the
+    fraction-free rows by the last pivot (by its negative for a negated read).
     """
-    p, n = m.field.char, m.ncols
-    if p == 0:
-        rows, piv, prev = _eliminate_qq(m.a)
+    field, p, n = m.field, m.field.char, m.ncols
+    if p and m.a.size <= _ROW_CELLS:
+        red = m.a.tolist()
+        piv = _eliminate_rows(red, n, p)
+        at = dict(zip(piv, red))
 
-        def take(cols, neg=False):
-            d, cols = -prev if neg else prev, list(cols)
+        def take(cols, neg=False, rows=None):
+            cols = list(cols)
+            read = red[: len(piv)] if rows is None else [at.get(j) for j in range(rows)]
+            flat = []  # numpy reads one flat list faster than nested ones
+            for j, row in enumerate(read):
+                if row is None:
+                    flat += [int(c == j) for c in cols]
+                else:
+                    flat += [-row[c] % p for c in cols] if neg else [row[c] for c in cols]
+            return np.array(flat, dtype=np.int64).reshape(len(read), len(cols))
+
+        return tuple(piv), take
+    if p == 0:
+        qrows, piv, prev = _eliminate_qq(m.a)
+
+        def block(cols, neg):
+            d = -prev if neg else prev
             out = np.empty((len(piv), len(cols)), dtype=object)
             out.reshape(-1)[:] = [x // d if x % d == 0 else Fraction(x, d)
-                                  for row in rows[: len(piv)] for x in map(row.__getitem__, cols)]
+                                  for row in qrows[: len(piv)] for x in map(row.__getitem__, cols)]
             return out
-
-        return tuple(piv), take
-    if p not in _PACKED:
+    elif p not in _PACKED:
         r, piv = _rref_fp(m.a.copy(), p)
 
-        def take(cols, neg=False):
-            out = r[: len(piv), list(cols)]
-            return m.field.reduce(-out) if neg else out
+        def block(cols, neg):
+            out = r[: len(piv), cols]
+            return field.reduce(-out) if neg else out
+    else:
+        packed, order, piv = _PACKED[p](m.a)
 
-        return tuple(piv), take
-    packed, order, piv = _PACKED[p](m.a)
+        def block(cols, neg):
+            if p == 2:
+                return _unpack([packed[j] for j in cols], order, m.nrows).astype(np.int64)
+            ones, twos = [packed[j] for j in cols], [packed[n + j] for j in cols]
+            bits = _unpack(twos + ones if neg else ones + twos, order, m.nrows)
+            return (bits[:, : len(cols)] | bits[:, len(cols) :] << 1).astype(np.int64)
 
-    def take(cols, neg=False):
+    def take(cols, neg=False, rows=None):
         cols = list(cols)
-        if p == 2:
-            return _unpack([packed[j] for j in cols], order, m.nrows).astype(np.int64)
-        ones, twos = [packed[j] for j in cols], [packed[n + j] for j in cols]
-        bits = _unpack(twos + ones if neg else ones + twos, order, m.nrows)
-        return (bits[:, : len(cols)] | bits[:, len(cols) :] << 1).astype(np.int64)
+        out = block(cols, neg)
+        if rows is None:
+            return out
+        placed = field.zeros((rows, len(cols)))
+        placed[piv] = out
+        pivset = set(piv)
+        units = [t for t, j in enumerate(cols) if j < rows and j not in pivset]
+        if units:
+            placed[[cols[t] for t in units], units] = 1
+        return placed
 
     return tuple(piv), take
+
+
+# F_p matrices of at most this many cells are eliminated on Python lists (see
+# _reduced); larger ones on packed ints (F2, F3) or numpy rows.
+_ROW_CELLS = 128
+
+
+def _eliminate_rows(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan over F_p on a list of rows, in place; returns the pivot
+    columns, and the first len(piv) rows are then the RREF's nonzero rows and
+    the rest are zero.  A pivot row is zero left of its pivot, so an update
+    reads only its nonzero entries to the right."""
+    mrows, piv = len(rows), []
+    for c in range(ncols):
+        r = len(piv)
+        if r == mrows:
+            break
+        for sel in range(r, mrows):
+            if rows[sel][c]:
+                break
+        else:
+            continue
+        top = rows[sel]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top = [x * inv % p for x in top]
+        rows[sel], rows[r] = rows[r], top
+        nz = [(j, top[j]) for j in range(c + 1, ncols) if top[j]]
+        for row in rows:
+            f = row[c]
+            if f and row is not top:
+                row[c] = 0
+                for j, x in nz:
+                    row[j] = (row[j] - f * x) % p
+        piv.append(c)
+    return piv
 
 
 # Row weights for packing up to 62 rows with one int64 product.
@@ -674,9 +748,13 @@ def _eliminate_qq(a: np.ndarray) -> tuple[list[list[int]], list[int], int]:
 
 
 def pivots(m: Mat) -> tuple[int, ...]:
-    """Pivot columns of m's RREF, read off the packed elimination over F2 and
-    F3 and off the fraction-free one over Q, with nothing unpacked or divided."""
+    """Pivot columns of m's RREF, with nothing read out: off the elimination
+    on rows for an F_p matrix of at most _ROW_CELLS cells, and above that off
+    the packed one over F2 and F3, so with nothing unpacked, and off the
+    fraction-free one over Q, with nothing divided."""
     p = m.field.char
+    if p and m.a.size <= _ROW_CELLS:
+        return tuple(_eliminate_rows(m.a.tolist(), m.ncols, p))
     if p in _PACKED:
         return tuple(_PACKED[p](m.a)[2])
     return tuple(_eliminate_qq(m.a)[1]) if p == 0 else _reduced(m)[0]
@@ -699,10 +777,7 @@ def _null_basis(field: Field, piv: tuple[int, ...], take: Callable,
     from _reduced: K's pivot rows are the negated RREF rows at the free columns."""
     pivots = set(piv)
     free = tuple(j for j in range(n) if j not in pivots)
-    out = field.zeros((n, len(free)))
-    out[list(free), range(len(free))] = 1
-    out[list(piv), :] = take(free, neg=True)
-    return Mat._of(field, out), free
+    return Mat._of(field, take(free, neg=True, rows=n)), free
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -724,9 +799,7 @@ def solve(m: Mat, b: Mat, rng: Random | None = None) -> Mat | None:
     n = m.ncols
     if piv and piv[-1] >= n:
         return None
-    out = m.field.zeros((n, b.ncols))
-    out[list(piv), :] = take(range(n, n + b.ncols))
-    sol = Mat._of(m.field, out)
+    sol = Mat._of(m.field, take(range(n, n + b.ncols), rows=n))
     if rng is not None and len(piv) < n and b.ncols:
         K, free = _null_basis(m.field, piv, take, n)
         sol = sol + K @ random_mat(rng, m.field, len(free), b.ncols)

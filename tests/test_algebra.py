@@ -617,8 +617,9 @@ roofs.compose_roofs(roofs.ses_to_roof(ka3_first_step(F3)),
                     roofs.ses_to_roof(ka3_second_step(F3)).shift(1))
 """,
 }
-# One pivot-row entry of every kernel off by one, over F3 (packed) and over
-# Q (fraction-free rows read at the free columns).
+# One pivot-row entry of every kernel off by one, over F3 (small kernels read
+# off the row elimination, larger ones packed) and over Q (fraction-free rows
+# read at the free columns).
 _FLIPPED_KERNEL_PROBE = """
 import roofext.algebra as algebra
 import roofext.ext as ext
@@ -641,6 +642,22 @@ ext.class_of_extension(ka3_first_step({field}))
 _INVARIANT_PROBES.update({
     "packed-kernel-with-a-flipped-entry": _FLIPPED_KERNEL_PROBE.format(field="GF(3)"),
     "qq-kernel-with-a-flipped-entry": _FLIPPED_KERNEL_PROBE.format(field="QQ"),
+    # the reduced rows themselves corrupted, before any kernel, solve or RREF reads them
+    "row-elimination-with-a-flipped-entry": """
+import roofext.ext as ext
+import roofext.linalg as linalg
+from roofext.instances import ka3_first_step
+from roofext.linalg import GF
+real = linalg._eliminate_rows
+def flipped(rows, ncols, p):  # the first reduced row off by one at its first free column
+    piv = real(rows, ncols, p)
+    free = [j for j in range(ncols) if j not in piv]
+    if piv and free:
+        rows[0][free[0]] = (rows[0][free[0]] + 1) % p
+    return piv
+linalg._eliminate_rows = flipped
+ext.class_of_extension(ka3_first_step(GF(3)))
+""",
 })
 
 
@@ -685,6 +702,22 @@ def test_no_module_level_import_goes_unused():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused, unused
+
+
+def test_no_module_reads_the_environment():
+    """No roofext module reads os.environ or calls os.getenv (nor imports
+    either by name), so a seeded run's bytes cannot depend on the environment."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(Path(roofext.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in names]
+    assert not reads, reads
+
 
 def test_direct_sum_identities():
     alg = truncated_polynomial_algebra(F2, 3)

@@ -335,6 +335,18 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["ext"], ["yoneda"], ["projcoh", "--batch"],
+                                     ["lemma-check", "--filtration"]],
+                         ids=lambda argv: argv[0])
+def test_non_utf8_input_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    files = [str(path)] * (2 if command[0] in ("ext", "yoneda") else 1)
+    assert main(command + files) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "schema error" in err and str(path) in err
+
+
 def test_boolean_dim_in_json_exits_2(capsys, tmp_path):
     doc = {"algebra": {"field": "q", "dim": True, "unit": [1], "mult": [[[1]]]},
            "dim": True, "action": [[[1]]]}

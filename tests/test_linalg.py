@@ -18,6 +18,7 @@ from helpers import (
     dense_rref_reference, dot_qq_reference, null_basis_reference, rref_qq_reference,
     solve_reference)
 
+from roofext import linalg
 from roofext.algebra import free_module, random_bound_quiver_algebra
 from roofext.errors import SchemaError
 from roofext.instances import random_module
@@ -303,11 +304,16 @@ def _gauss_jordan(rows, ncols, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rref_matches_gauss_jordan_over_fp(p):
-    """GF(2) and GF(3) run the packed kernels, GF(5) the numpy one; rank over
-    GF(2) and GF(3) counts the packed pivots without reading the form out."""
+    """The 1-7 x 1-7 shapes (at most 49 cells) run the row elimination; the
+    shapes above _ROW_CELLS (up to 48 x 140, the sizes lemma-fp reaches) run
+    the packed kernels over GF(2) and GF(3) and the numpy one over GF(5), and
+    rank there counts the packed pivots without reading the form out."""
     rng = Random(p)
     shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
                                           for _ in range(60)]
+    large = [(rng.randint(9, 48), rng.randint(15, 140)) for _ in range(12)]
+    assert all(m * n > linalg._ROW_CELLS for m, n in large)
+    shapes += large
     cases = []
     for m, n in shapes:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
@@ -538,6 +544,66 @@ def test_packed_kernel_and_solve_match_dense_reference(p):
         inconsistent += x is None
         lifted += mine is not None and x is not None and bool(k and free)
     assert tall > 200 and inconsistent > 100 and lifted > 50
+
+
+def _bound_cases(rng, p):
+    """(m, n, array) inputs around _ROW_CELLS: every factorization of the bound
+    and its neighbours, with and without zero rows and columns, full-rank
+    ones, empty shapes, 62-, 63- and 130-row tall ones and a 3 x 140 wide one."""
+    bound = linalg._ROW_CELLS
+    shapes = [(m, cells // m) for cells in (bound - 1, bound, bound + 1)
+              for m in range(1, cells + 1) if cells % m == 0]
+    shapes += [(0, 0), (0, 5), (4, 0), (62, 3), (63, 3), (130, 2), (62, 1), (3, 140)]
+    out = []
+    for m, n in shapes:
+        for variant in range(3):
+            a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
+                         dtype=np.int64).reshape(m, n)
+            if variant == 1 and m and n:  # zero rows and columns
+                a[rng.randrange(m)] = 0
+                a[:, rng.randrange(n)] = 0
+            if variant == 2:  # full rank: a unit-diagonal triangle under noise
+                for i in range(min(m, n)):
+                    a[i, :i] = 0
+                    a[i, i] = 1
+            out.append((m, n, a))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_and_packed_eliminations_agree_on_both_sides_of_the_bound(p, monkeypatch):
+    """On inputs at, just under and just over _ROW_CELLS, the row elimination
+    (bound raised past every input) and the packed or numpy one (bound 0)
+    give pivots, rank, rref, _kernel and solve (with and without an rng, which
+    ends in the same state) equal to the dense references, and over F2 and F3
+    pivots equal to the packed kernel's own, called directly."""
+    field, rng = GF(p), Random(0xB0 + p)
+    regimes = (10**9, 0)
+    for m, n, a in _bound_cases(rng, p):
+        mat = Mat(field, a)
+        want, want_piv = dense_rref_reference(mat)
+        want_K = null_basis_reference(want, want_piv, n)
+        k = rng.randint(0, 3)
+        b = mat @ random_mat(rng, field, n, k) if rng.random() < 0.7 else random_mat(rng, field, m, k)
+        seed = rng.getrandbits(32)
+        ref_rng = Random(seed)
+        want_x, want_rng_x = solve_reference(mat, b), solve_reference(mat, b, ref_rng)
+        if p in linalg._PACKED:
+            assert tuple(linalg._PACKED[p](a)[2]) == want_piv
+        for bound in regimes:
+            monkeypatch.setattr(linalg, "_ROW_CELLS", bound)
+            assert pivots(mat) == want_piv and rank(mat) == len(want_piv)
+            assert rref(mat) == (want, want_piv)
+            K, free = _kernel(mat)
+            assert (K, free) == want_K
+            _assert_canonical(K)
+            mine = Random(seed)
+            x, x_rng = solve(mat, b), solve(mat, b, mine)
+            assert x == want_x and x_rng == want_rng_x
+            assert mine.getstate() == ref_rng.getstate()
+            for r in (x, x_rng):
+                if r is not None:
+                    _assert_canonical(r)
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
