@@ -28,18 +28,18 @@ quotients would.  The reduced form is those rows divided by the last
 pivot, and that division is made only at the columns a caller reads (see
 _reduced); pivots and rank make none.
 
-Elimination over F_p has two regimes, for two fixed costs.  A matrix of at
-most _ROW_CELLS cells (nine in ten of those a lemma check reduces) is
+Elimination has two regimes, for two fixed costs.  A matrix over F2 or F3
+of more than _ROW_CELLS cells is eliminated on column-packed ints (F2: one
+int per column, bit i for row i; F3: two, the rows holding 1 and those
+holding 2), without row swaps, which updates a whole column per int
+operation; `pivots` (so `rank`) there reads the pivot columns off the
+elimination, with no unpacking, and kernel bases and solutions unpack only
+the columns they read (see _reduced).  Every other matrix (nine in ten of
+those a lemma check reduces, and every one over Q or a larger prime) is
 eliminated on the Python lists of its rows, and its pivots, RREF rows,
-kernel basis and solutions are read off those lists into one array each: at
-that size a numpy call, or packing and unpacking, costs more than the
-arithmetic.  Above the bound elimination over F2 and F3 runs on
-column-packed ints (F2: one int per column, bit i for row i; F3: two, the
-rows holding 1 and those holding 2), without row swaps, which updates a
-whole column per int operation; `pivots` (so `rank`) there reads the pivot
-columns off the elimination, with no unpacking, and kernel bases and
-solutions unpack only the columns they read (see _reduced).  Larger primes
-use numpy above the bound.
+kernel basis and solutions are read off those lists into one array each:
+for a small matrix a numpy call, or packing and unpacking, costs more than
+the arithmetic, and only F2 and F3 have a packed form.
 Every Mat holds a read-only array in canonical form: `Mat(field, data)`
 reduces it (over F_p exactly for ints of any size, refusing an entry that
 is not an integer, and over Q one that is not a rational number, such as
@@ -86,8 +86,9 @@ __all__ = [
 _MAX_PRIME = 1 << 25
 
 # The rational scalars JSON may spell as strings: "[+-]a" or "[+-]a/b" in
-# decimal digits.  Fraction() alone would also take exponents ("1e99999999"),
-# which cost time and memory exponential in their length.
+# decimal digits, and over F_p only "[+-]a".  Fraction() alone would also take
+# exponents ("1e99999999"), which cost time and memory exponential in their
+# length, and int() spaces, underscores and non-ASCII digits.
 _QQ_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -191,9 +192,12 @@ class PrimeField(Field):
         return np.zeros(shape, dtype=np.int64)
 
     def parse(self, s):
-        if isinstance(s, (bool, float)):
-            raise TypeError(f"{s!r} is not an integer")
-        return int(s) % self.p
+        if type(s) is int:
+            return s % self.p
+        match = _QQ_SCALAR.fullmatch(s) if isinstance(s, str) else None
+        if match is None or match[2] is not None:
+            raise TypeError(f"{s!r:.40} is not an integer or an integer string")
+        return int(match[1]) % self.p
 
     def fmt(self, x):
         return int(x)
@@ -487,78 +491,68 @@ def _reduced(m: Mat) -> tuple[tuple[int, ...], Callable]:
     solution read off [m | b] is take(b's columns, rows=n).  Every
     elimination that reads reduced rows (rref, _kernel, solve) runs here.
 
-    Two regimes over F_p, for two fixed costs.  A matrix of at most
-    _ROW_CELLS cells is eliminated on the Python lists of a.tolist(), and
-    take reads those lists into one array: at that size a numpy call or a
-    pack and unpack costs more than the arithmetic.  Above it, F2 and F3 run
+    Two regimes, for two fixed costs.  Above _ROW_CELLS cells, F2 and F3 run
     the packed elimination, whose column updates are one int operation per
     pivot however many rows there are, and take unpacks only the columns it
     reads; over F3 negation swaps each column's P and N ints (-1 = 2), so a
-    negated read is as cheap as a plain one.  Larger primes reduce densely
-    with numpy.  Over Q take divides only the columns it reads of the
-    fraction-free rows by the last pivot (by its negative for a negated read).
+    negated read is as cheap as a plain one.  Every other matrix is
+    eliminated on Python lists, by _eliminate_rows over F_p and
+    _eliminate_qq over Q, and one take reads those lists into one array: it
+    reads an F_p entry x as it is, or as -x % p, and a Q entry as x divided
+    by the last pivot (by its negative for a negated read), at the columns
+    it reads only.
     """
     field, p, n = m.field, m.field.char, m.ncols
-    if p and m.a.size <= _ROW_CELLS:
-        red = m.a.tolist()
-        piv = _eliminate_rows(red, n, p)
-        at = dict(zip(piv, red))
+    if p in _PACKED and m.a.size > _ROW_CELLS:
+        packed, order, piv = _PACKED[p](m.a)
 
         def take(cols, neg=False, rows=None):
             cols = list(cols)
-            read = red[: len(piv)] if rows is None else [at.get(j) for j in range(rows)]
-            flat = []  # numpy reads one flat list faster than nested ones
-            for j, row in enumerate(read):
-                if row is None:
-                    flat += [int(c == j) for c in cols]
-                else:
-                    flat += [-row[c] % p for c in cols] if neg else [row[c] for c in cols]
-            return np.array(flat, dtype=np.int64).reshape(len(read), len(cols))
+            if p == 2:
+                out = _unpack([packed[j] for j in cols], order, m.nrows).astype(np.int64)
+            else:
+                ones, twos = [packed[j] for j in cols], [packed[n + j] for j in cols]
+                bits = _unpack(twos + ones if neg else ones + twos, order, m.nrows)
+                out = (bits[:, : len(cols)] | bits[:, len(cols) :] << 1).astype(np.int64)
+            if rows is None:
+                return out
+            placed = field.zeros((rows, len(cols)))
+            placed[piv] = out
+            pivset = set(piv)
+            units = [t for t, j in enumerate(cols) if j < rows and j not in pivset]
+            if units:
+                placed[[cols[t] for t in units], units] = 1
+            return placed
 
         return tuple(piv), take
-    if p == 0:
-        qrows, piv, prev = _eliminate_qq(m.a)
+    if p:
+        red, dtype = m.a.tolist(), np.int64
+        piv = _eliminate_rows(red, n, p)
 
-        def block(cols, neg):
-            d = -prev if neg else prev
-            out = np.empty((len(piv), len(cols)), dtype=object)
-            out.reshape(-1)[:] = [x // d if x % d == 0 else Fraction(x, d)
-                                  for row in qrows[: len(piv)] for x in map(row.__getitem__, cols)]
-            return out
-    elif p not in _PACKED:
-        r, piv = _rref_fp(m.a.copy(), p)
-
-        def block(cols, neg):
-            out = r[: len(piv), cols]
-            return field.reduce(-out) if neg else out
+        def entries(row, cols, neg):
+            return [-row[c] % p for c in cols] if neg else [row[c] for c in cols]
     else:
-        packed, order, piv = _PACKED[p](m.a)
+        red, piv, prev = _eliminate_qq(m.a)
+        dtype = object
 
-        def block(cols, neg):
-            if p == 2:
-                return _unpack([packed[j] for j in cols], order, m.nrows).astype(np.int64)
-            ones, twos = [packed[j] for j in cols], [packed[n + j] for j in cols]
-            bits = _unpack(twos + ones if neg else ones + twos, order, m.nrows)
-            return (bits[:, : len(cols)] | bits[:, len(cols) :] << 1).astype(np.int64)
+        def entries(row, cols, neg):
+            d = -prev if neg else prev
+            return [x // d if x % d == 0 else Fraction(x, d) for x in map(row.__getitem__, cols)]
+    at = dict(zip(piv, red))
 
     def take(cols, neg=False, rows=None):
         cols = list(cols)
-        out = block(cols, neg)
-        if rows is None:
-            return out
-        placed = field.zeros((rows, len(cols)))
-        placed[piv] = out
-        pivset = set(piv)
-        units = [t for t, j in enumerate(cols) if j < rows and j not in pivset]
-        if units:
-            placed[[cols[t] for t in units], units] = 1
-        return placed
+        read = red[: len(piv)] if rows is None else [at.get(j) for j in range(rows)]
+        flat = []  # numpy reads one flat list faster than nested ones
+        for j, row in enumerate(read):
+            flat += [int(c == j) for c in cols] if row is None else entries(row, cols, neg)
+        return np.array(flat, dtype=dtype).reshape(len(read), len(cols))
 
     return tuple(piv), take
 
 
-# F_p matrices of at most this many cells are eliminated on Python lists (see
-# _reduced); larger ones on packed ints (F2, F3) or numpy rows.
+# F2 and F3 matrices of more than this many cells are eliminated on packed
+# ints, and every other matrix on Python lists (see _reduced).
 _ROW_CELLS = 128
 
 
@@ -686,30 +680,6 @@ def _eliminate_f3(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
 _PACKED = {2: _eliminate_f2, 3: _eliminate_f3}
 
 
-def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    mrows, ncols = a.shape
-    piv: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == mrows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        if a[r, c] != 1:
-            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        other = a[:, c].nonzero()[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - a[other, c, None] * a[r]) % p
-        piv.append(c)
-        r += 1
-    return a, piv
-
-
 def _eliminate_qq(a: np.ndarray) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan (Bareiss) on the rows of a, each scaled to
     integers: rows other than the pivot row become (pv * x - f * y) / prev,
@@ -748,16 +718,16 @@ def _eliminate_qq(a: np.ndarray) -> tuple[list[list[int]], list[int], int]:
 
 
 def pivots(m: Mat) -> tuple[int, ...]:
-    """Pivot columns of m's RREF, with nothing read out: off the elimination
-    on rows for an F_p matrix of at most _ROW_CELLS cells, and above that off
-    the packed one over F2 and F3, so with nothing unpacked, and off the
-    fraction-free one over Q, with nothing divided."""
+    """Pivot columns of m's RREF, with nothing read out: off the packed
+    elimination for an F2 or F3 matrix of more than _ROW_CELLS cells, so with
+    nothing unpacked, and otherwise off the elimination on rows over F_p and
+    the fraction-free one over Q, with nothing divided."""
     p = m.field.char
-    if p and m.a.size <= _ROW_CELLS:
-        return tuple(_eliminate_rows(m.a.tolist(), m.ncols, p))
-    if p in _PACKED:
+    if p in _PACKED and m.a.size > _ROW_CELLS:
         return tuple(_PACKED[p](m.a)[2])
-    return tuple(_eliminate_qq(m.a)[1]) if p == 0 else _reduced(m)[0]
+    if p:
+        return tuple(_eliminate_rows(m.a.tolist(), m.ncols, p))
+    return tuple(_eliminate_qq(m.a)[1])
 
 
 def rank(m: Mat) -> int:

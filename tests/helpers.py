@@ -27,13 +27,13 @@ instances.random_filtration and instances._random_ses_chain.
 ListModuleReference is the earlier explicit Module, one action Mat per
 algebra basis vector, kept as the oracle for Module's one action array;
 null_basis_reference and solve_reference read kernels and solutions off a
-dense RREF of the whole matrix, made without packing by the numpy prime
-field elimination, and over Q by rref_qq_reference, as the oracles for
-the packed _kernel and solve and for the column reads of the rational
-elimination.  rref_qq_reference and dot_qq_reference are the earlier
-rational RREF and product: denominators cleared row by row and operand by
-operand, and every column of the fraction-free rows divided by the last
-pivot.
+dense RREF of the whole matrix, made over a prime field by _rref_fp, the
+package's earlier numpy elimination, and over Q by rref_qq_reference, as
+the oracles for the column reads of _kernel and solve in both of
+_reduced's regimes, packed and on rows.  rref_qq_reference and
+dot_qq_reference are the earlier rational RREF and product: denominators
+cleared row by row and operand by operand, and every column of the
+fraction-free rows divided by the last pivot.
 
 The dense references of the complex layer (chain_map_validate_reference,
 chain_map_compose_reference, chain_map_sub_reference, boundary_reference,
@@ -57,7 +57,7 @@ from roofext.errors import DegenerateFiltrationError, InvariantError, SchemaErro
 from roofext.ext import Resolution, _hom_delta, ext_group, extension_from_class
 from roofext.instances import random_ext_element
 from roofext.linalg import (
-    QQ, IncrementalSpan, Mat, PrimeField, _clear_denominators, _rref_fp, block_diag, hstack,
+    QQ, IncrementalSpan, Mat, PrimeField, _clear_denominators, block_diag, hstack,
     kernel_basis, pivots, random_mat, rank, solve, subquotient)
 
 
@@ -551,9 +551,33 @@ def dot_qq_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rref_fp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    mrows, ncols = a.shape
+    piv: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == mrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if a[r, c] != 1:
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        other = a[:, c].nonzero()[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - a[other, c, None] * a[r]) % p
+        piv.append(c)
+        r += 1
+    return a, piv
+
+
 def dense_rref_reference(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """RREF by the numpy elimination over a prime field (never packed), and
-    by rref_qq_reference over Q."""
+    """RREF by the numpy elimination _rref_fp over a prime field (never
+    packed, never on rows), and by rref_qq_reference over Q."""
     if isinstance(m.field, PrimeField):
         r, piv = _rref_fp(m.a.copy(), m.field.p)
     else:

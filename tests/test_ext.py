@@ -120,8 +120,8 @@ def _count_eliminations(monkeypatch, names=("_reduced", "_eliminate_qq")) -> lis
     called.  Every elimination over Q (rref, _kernel, solve, pivots, rank)
     runs in _eliminate_qq, and every one over a prime field that reads
     reduced rows runs in _reduced, so _reduced, which calls _eliminate_qq
-    over Q, is counted over prime fields only.  Count pivots only over
-    F2/F3, where it does not call _reduced."""
+    over Q, is counted over prime fields only.  pivots may be counted over
+    any prime: it never calls _reduced."""
     calls = []
 
     def counter(real, prime_only):

@@ -73,10 +73,12 @@ def test_mat_shape_and_scalar_errors():
     # Q strings are "[+-]a[/b]" in ASCII decimal digits and nothing else
     (QQ, "1e1"), (QQ, "0e10000000"), (QQ, "1.5"), (QQ, " 1"), (QQ, "1_000"), (QQ, "0x10"),
     (QQ, "inf"), (QQ, "1/-2"), (QQ, "\u0661"), (QQ, "3\n"), (QQ, None), (QQ, "1" * 5000),
+    # F_p strings are the integer part of that grammar, "[+-]a"
+    (F3, " 1"), (F3, "1_000"), (F3, "\u0661"), (F3, "3\n"),
 ], ids=["fp-float", "fp-bool", "fp-fraction", "q-float", "q-bool", "q-zero-denominator",
         "q-exponent", "q-huge-exponent", "q-decimal", "q-space", "q-underscore", "q-hex",
         "q-inf", "q-negative-denominator", "q-non-ascii-digit", "q-newline", "q-null",
-        "q-too-many-digits"])
+        "q-too-many-digits", "fp-space", "fp-underscore", "fp-non-ascii-digit", "fp-newline"])
 def test_mat_from_json_refuses_inexact_scalars(field, scalar):
     with pytest.raises(SchemaError, match="bad scalar"):
         mat_from_json(field, [[scalar]], 1, 1, "m")

@@ -302,12 +302,17 @@ def _gauss_jordan(rows, ncols, p):
     return rows, tuple(pivots)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# the largest prime under linalg._MAX_PRIME: row updates then multiply 25-bit residues
+BIG_PRIME = 33554393
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_PRIME])
 def test_rref_matches_gauss_jordan_over_fp(p):
     """The 1-7 x 1-7 shapes (at most 49 cells) run the row elimination; the
     shapes above _ROW_CELLS (up to 48 x 140, the sizes lemma-fp reaches) run
-    the packed kernels over GF(2) and GF(3) and the numpy one over GF(5), and
-    rank there counts the packed pivots without reading the form out."""
+    the packed kernels over GF(2) and GF(3), where rank counts the packed
+    pivots without reading the form out, and the row elimination over every
+    larger prime."""
     rng = Random(p)
     shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
                                           for _ in range(60)]
@@ -549,11 +554,13 @@ def test_packed_kernel_and_solve_match_dense_reference(p):
 def _bound_cases(rng, p):
     """(m, n, array) inputs around _ROW_CELLS: every factorization of the bound
     and its neighbours, with and without zero rows and columns, full-rank
-    ones, empty shapes, 62-, 63- and 130-row tall ones and a 3 x 140 wide one."""
+    ones, empty shapes, 62-, 63- and 130-row tall ones, a 3 x 140 wide one
+    and a 48 x 140 one, the largest size lemma-fp reaches."""
     bound = linalg._ROW_CELLS
     shapes = [(m, cells // m) for cells in (bound - 1, bound, bound + 1)
               for m in range(1, cells + 1) if cells % m == 0]
-    shapes += [(0, 0), (0, 5), (4, 0), (62, 3), (63, 3), (130, 2), (62, 1), (3, 140)]
+    shapes += [(0, 0), (0, 5), (4, 0), (62, 3), (63, 3), (130, 2), (62, 1), (3, 140),
+               (48, 140)]
     out = []
     for m, n in shapes:
         for variant in range(3):
@@ -570,15 +577,24 @@ def _bound_cases(rng, p):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_PRIME])
 def test_row_and_packed_eliminations_agree_on_both_sides_of_the_bound(p, monkeypatch):
-    """On inputs at, just under and just over _ROW_CELLS, the row elimination
-    (bound raised past every input) and the packed or numpy one (bound 0)
-    give pivots, rank, rref, _kernel and solve (with and without an rng, which
-    ends in the same state) equal to the dense references, and over F2 and F3
-    pivots equal to the packed kernel's own, called directly."""
+    """On inputs at, just under and just over _ROW_CELLS and up to 48 x 140,
+    the row elimination (bound raised past every input) and, over F2 and F3,
+    the packed one (bound 0) give pivots, rank, rref, _kernel and solve (with
+    and without an rng, which ends in the same state) equal to the dense
+    numpy references, and over F2 and F3 pivots equal to the packed kernel's
+    own, called directly.  Over every larger prime both bound settings run
+    the row elimination."""
     field, rng = GF(p), Random(0xB0 + p)
     regimes = (10**9, 0)
+    real, row_runs = linalg._eliminate_rows, []
+
+    def counted(rows, ncols, q):
+        row_runs.append(ncols)
+        return real(rows, ncols, q)
+
+    monkeypatch.setattr(linalg, "_eliminate_rows", counted)
     for m, n, a in _bound_cases(rng, p):
         mat = Mat(field, a)
         want, want_piv = dense_rref_reference(mat)
@@ -592,6 +608,7 @@ def test_row_and_packed_eliminations_agree_on_both_sides_of_the_bound(p, monkeyp
             assert tuple(linalg._PACKED[p](a)[2]) == want_piv
         for bound in regimes:
             monkeypatch.setattr(linalg, "_ROW_CELLS", bound)
+            row_runs.clear()
             assert pivots(mat) == want_piv and rank(mat) == len(want_piv)
             assert rref(mat) == (want, want_piv)
             K, free = _kernel(mat)
@@ -604,6 +621,8 @@ def test_row_and_packed_eliminations_agree_on_both_sides_of_the_bound(p, monkeyp
             for r in (x, x_rng):
                 if r is not None:
                     _assert_canonical(r)
+            if p not in linalg._PACKED:  # pivots, rank, rref, _kernel and both solves
+                assert len(row_runs) == 6
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
