@@ -297,10 +297,6 @@ class ModuleHom:
     def __hash__(self):
         return hash((self.source.key(), self.target.key(), self.matrix.key()))
 
-    def image(self) -> Mat:
-        red, piv = rref(self.matrix.T)
-        return red.take_rows(range(len(piv))).T
-
     def is_injective(self) -> bool:
         return rank(self.matrix) == self.source.dim
 

@@ -12,7 +12,14 @@ lemma-check composite, or the second route of `yoneda` or `roof` disagreeing
 with the first), 2 malformed input (schema), 3 semantic mismatch (e.g.
 non-composable inputs), 4 degenerate filtration (also a random sampler that
 gives up), 5 internal error (a failed invariant check, an inconsistent
-long-exact-sequence chase, or any other ValueError: a bug, not bad input).
+long-exact-sequence chase, or any other ValueError: a bug, not bad input),
+6 out of memory (the computation outgrew the memory it could allocate).
+
+Each `cmd_*` returns `(docs, lines, code)`: its canonical JSON documents
+(for `lemma-check` the header and one per instance), its text view as a
+list of lines (`None` for `lemma-check`, which always prints JSON lines),
+and its exit code.  Only `main` writes them, to stdout or `--out`: the
+documents under `--json` or without a text view, else the lines.
 JSON output is canonical — sorted keys, no whitespace — so identical inputs
 and seeds produce byte-identical bytes.  Input tokens of the form
 `fixture:NAME` resolve to the bundled example files.
@@ -56,6 +63,7 @@ EXIT_SCHEMA = 2
 EXIT_SEMANTIC = 3
 EXIT_DEGENERATE = 4
 EXIT_INTERNAL = 5
+EXIT_MEMORY = 6
 
 RNG_ALGORITHM = "mersenne-twister"
 
@@ -72,8 +80,7 @@ def _document(token: str) -> dict:
     return jsonio.load_document(token)
 
 
-def _emit(chunks: list[str], out_path: str | None) -> None:
-    data = "".join(chunks)
+def _emit(data: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -110,7 +117,7 @@ def _parse_count(text: str) -> int:
 # -- ext -----------------------------------------------------------------------
 
 
-def cmd_ext(args) -> int:
+def cmd_ext(args) -> tuple:
     m, n = (jsonio.module_from_json(_document(t), where=t, table=args.table)
             for t in args.module)
     if m.algebra != n.algebra:
@@ -126,19 +133,15 @@ def cmd_ext(args) -> int:
             "basis": [{"coords": _coords(b),
                        "cocycle": jsonio.mat_to_json(b.images)} for b in basis],
         }
-    if args.json:
-        doc = {"command": "ext", "field": m.field.name,
-               "dims": {k: v["dim"] for k, v in table.items()}, "table": table}
-        _emit([jsonio.dump_canonical(doc)], args.out)
-        return EXIT_OK
+    doc = {"command": "ext", "field": m.field.name,
+           "dims": {k: v["dim"] for k, v in table.items()}, "table": table}
     lines = [f"Ext over {m.algebra!r}: source dim {m.dim}, target dim {n.dim}"]
     for d in degrees:
         entry = table[str(d)]
         lines.append(f"  Ext^{d}: dim {entry['dim']}")
         for t, b in enumerate(entry["basis"]):
             lines.append(f"    basis[{t}] cocycle generator images: {b['cocycle']}")
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK
+    return [doc], lines, EXIT_OK
 
 
 # -- yoneda --------------------------------------------------------------------
@@ -149,7 +152,7 @@ def _sequences(args) -> list:
             for t in args.sequence]
 
 
-def cmd_yoneda(args) -> int:
+def cmd_yoneda(args) -> tuple:
     e1, e2 = _sequences(args)
     a = class_of_extension(e1)
     b = class_of_extension(e2)
@@ -167,10 +170,6 @@ def cmd_yoneda(args) -> int:
         "splice_class": _class_entry(spliced_class),
         "splice_matches_product": spliced_class == product.scale(SPLICE_PRODUCT_SIGN),
     }
-    code = EXIT_OK if doc["splice_matches_product"] else EXIT_FAIL
-    if args.json:
-        _emit([jsonio.dump_canonical(doc)], args.out)
-        return code
     lines = [
         f"first class  (Ext^{e1.degree}): trivial={doc['first_class']['trivial']} "
         f"coords={doc['first_class']['coords']}",
@@ -180,14 +179,13 @@ def cmd_yoneda(args) -> int:
         f"coords={doc['product']['coords']}",
         f"splice route agrees with the pinned sign: {doc['splice_matches_product']}",
     ]
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return code
+    return [doc], lines, EXIT_OK if doc["splice_matches_product"] else EXIT_FAIL
 
 
 # -- roof ----------------------------------------------------------------------
 
 
-def cmd_roof(args) -> int:
+def cmd_roof(args) -> tuple:
     e1, e2 = _sequences(args)
     if e1.degree != 1 or e2.degree != 1:
         raise SchemaError("roof composition works on short exact sequences (degree 1)")
@@ -203,18 +201,13 @@ def cmd_roof(args) -> int:
         "composite_class": _class_entry(c),
         "matches_yoneda_product": c == product,
     }
-    code = EXIT_OK if doc["matches_yoneda_product"] else EXIT_FAIL
-    if args.json:
-        _emit([jsonio.dump_canonical(doc)], args.out)
-        return code
     lines = [
         f"composite roof apex lives in degrees {doc['apex_degrees']}",
         f"composite class (Ext^2): trivial={doc['composite_class']['trivial']} "
         f"coords={doc['composite_class']['coords']}",
         f"agrees with the cocycle-route product: {doc['matches_yoneda_product']}",
     ]
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return code
+    return [doc], lines, EXIT_OK if doc["matches_yoneda_product"] else EXIT_FAIL
 
 
 # -- lemma-check -----------------------------------------------------------------
@@ -234,7 +227,7 @@ def _instance_line(index: int, report: dict) -> dict:
     }
 
 
-def cmd_lemma_check(args) -> int:
+def cmd_lemma_check(args) -> tuple:
     if args.random is not None and args.filtration:
         raise SchemaError("choose either --filtration or --random, not both")
     seed = args.seed
@@ -246,9 +239,6 @@ def cmd_lemma_check(args) -> int:
             raise SchemaError("--random takes no arguments or SEED COUNT")
     if count < 1:
         raise SchemaError("count must be >= 1")
-    chunks: list[str] = []
-    all_trivial = True
-
     if args.filtration:
         filtrations = [(0, jsonio.filtration_from_json(
             _document(args.filtration), where=args.filtration, table=args.table))]
@@ -261,17 +251,15 @@ def cmd_lemma_check(args) -> int:
                   "field": field.name, "count": count}
         filtrations = ((i, random_filtration(rng, field)) for i in range(count))
 
-    chunks.append(jsonio.dump_canonical(header))
+    docs = [header]
     for index, filt in filtrations:
         try:
             _, _, alpha, report = filtration_two_class(filt)
         except DegenerateFiltrationError as exc:
             raise DegenerateFiltrationError(f"instance {index}: {exc}") from None
-        line = _instance_line(index, report)
-        all_trivial = all_trivial and line["alpha_trivial"]
-        chunks.append(jsonio.dump_canonical(line))
-    _emit(chunks, args.out)
-    return EXIT_OK if all_trivial else EXIT_FAIL
+        docs.append(_instance_line(index, report))
+    all_trivial = all(line["alpha_trivial"] for line in docs[1:])
+    return docs, None, EXIT_OK if all_trivial else EXIT_FAIL
 
 
 # -- projcoh ---------------------------------------------------------------------
@@ -296,18 +284,18 @@ def _table_doc(space: str, sheaf: str) -> dict:
     return doc
 
 
-def _table_text(doc: dict) -> str:
+def _table_text(doc: dict) -> list[str]:
     nonzero = [(int(q), v) for q, v in doc["table"].items() if v["dim"]]
     head = f"{doc['space']}, {doc['sheaf']}  (normal form {doc['normal_form']})"
     if not nonzero:
-        return f"{head}\n  all cohomology vanishes (chi = 0)\n"
+        return [head, "  all cohomology vanishes (chi = 0)"]
     width = max(len(str(v["dim"])) for _, v in nonzero)
     rows = [f"  h^{q} = {v['dim']:>{width}}   [{v['rule']}]"
             for q, v in sorted(nonzero)]
-    return "\n".join([head, *rows, f"  chi = {doc['chi']}"]) + "\n"
+    return [head, *rows, f"  chi = {doc['chi']}"]
 
 
-def cmd_projcoh(args) -> int:
+def cmd_projcoh(args) -> tuple:
     pairs: list[tuple[str, str]] = []
     if args.batch:
         doc = _document(args.batch)
@@ -325,12 +313,8 @@ def cmd_projcoh(args) -> int:
     else:
         raise SchemaError("projcoh needs a space and a sheaf expression (or --batch)")
     docs = [_table_doc(s, sh) for s, sh in pairs]
-    if args.json:
-        payload = docs[0] if len(docs) == 1 else {"command": "projcoh", "tables": docs}
-        _emit([jsonio.dump_canonical(payload)], args.out)
-        return EXIT_OK
-    _emit([_table_text(d) for d in docs], args.out)
-    return EXIT_OK
+    payload = docs[0] if len(docs) == 1 else {"command": "projcoh", "tables": docs}
+    return [payload], [line for d in docs for line in _table_text(d)], EXIT_OK
 
 
 # -- prop2-report ------------------------------------------------------------------
@@ -349,14 +333,10 @@ def _chain_text(label: str, steps: list[dict]) -> list[str]:
     return lines
 
 
-def cmd_prop2(args) -> int:
+def cmd_prop2(args) -> tuple:
     report = prop2_report()
-    if args.json:
-        _emit([jsonio.dump_canonical(report)], args.out)
-        return EXIT_OK
-    lines: list[str] = []
-    lines.extend(_chain_text("chain 1 (sections of the quadric)", report["chain1"]))
-    lines.extend(_chain_text("chain 2 (tangent-sheaf pairing)", report["chain2"]))
+    lines = [*_chain_text("chain 1 (sections of the quadric)", report["chain1"]),
+             *_chain_text("chain 2 (tangent-sheaf pairing)", report["chain2"])]
     term = report["terminal"]
     lines.append("terminal claim:")
     lines.append(f"  h^1(P3, Omega^1(-5)) = {term['receiving_group_h1']}, "
@@ -370,8 +350,7 @@ def cmd_prop2(args) -> int:
                  f"{checks['quadric_structure_sequence_additive_on_grid']} / "
                  f"{checks['euler_quotient_sequence_additive']}")
     lines.append(f"verdict: {report['summary']['verdict']}")
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK
+    return [report], lines, EXIT_OK
 
 
 # -- argument plumbing ---------------------------------------------------------------
@@ -442,7 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     # algebras and modules (see jsonio); it ends with the call
     args.table = {}
     try:
-        return args.func(args)
+        docs, lines, code = args.func(args)
+        if args.json or lines is None:
+            _emit("".join(map(jsonio.dump_canonical, docs)), args.out)
+        else:
+            _emit("\n".join(lines) + "\n", args.out)
+        return code
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -458,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         # any other ValueError broke an internal API contract
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:  # numpy's failed allocations subclass it
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .algebra import (
     ModuleHom,
     direct_sum,
     free_module,
-    submodule,
     submodule_quotient,
 )
 from .errors import InvariantError, MiddleMismatchError, SchemaError, TruncationError
@@ -512,9 +511,8 @@ def extension_from_class(a: ExtElement) -> ExtensionSeq:
     pre = lift_solve(res._maps[1], K)
     cbar = hom_from_free(N, a.images) @ pre  # value of the cocycle on the syzygy
     W, injs, _projs = direct_sum([N, p0])
-    graph = vstack([cbar, -K])
-    sub_incl = submodule(W, graph)
-    E, proj_w, section = submodule_quotient(W, sub_incl)
+    # cbar is A-linear on the syzygies, so the graph's span is a submodule
+    E, proj_w, section = submodule_quotient(W, vstack([cbar, -K]))
     iota = proj_w @ injs[0]
     pibar = hstack([Mat.zeros(field, M.dim, N.dim), res._maps[0]])
     pi = ModuleHom(E, M, pibar @ section, check=True)

@@ -360,7 +360,7 @@ def random_complex(rng: Random, algebra: Algebra, max_dim: int = 4) -> Complex:
             if kind == 1:
                 parts.append(Complex(algebra, {off: m, off + 1: n}, {off: f}))
             else:
-                quot, proj, _ = submodule_quotient(n, f.image())
+                quot, proj, _ = submodule_quotient(n, f.matrix)
                 parts.append(Complex(algebra, {off: m, off + 1: n, off + 2: quot},
                                      {off: f, off + 1: proj}))
         # every module in the piece has dim <= piece_cap, so charging the cap

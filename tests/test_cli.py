@@ -13,6 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roofext.cli as cli
@@ -439,6 +440,24 @@ def test_internal_errors_exit_5(capsys, monkeypatch, error):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("allocate", [lambda: MemoryError(),
+                                      lambda: np.empty(1 << 62, dtype=np.int8)],
+                         ids=["memory-error", "numpy-allocation"])
+def test_out_of_memory_exits_6(capsys, monkeypatch, allocate):
+    """A computation that outgrows memory exits 6 with one stderr line, not
+    a traceback and exit 1 (a failed property).  numpy's failed allocation
+    (asked here for 4 EiB, which no address space holds) is a MemoryError."""
+    def broken(*args, **kwargs):
+        raise allocate()
+
+    monkeypatch.setattr(cli, "ext_group", broken)
+    rc = main(["ext", "fixture:kx3_simple", "fixture:kx3_simple"])
+    captured = capsys.readouterr()
+    assert rc == 6 and not captured.out
+    assert captured.err.startswith("out of memory: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_repeated_calls_share_no_parsed_state(capsys):
     """The parser is built once per process; each call must still print what
     a call in a fresh process prints."""
@@ -610,12 +629,83 @@ def test_readme_shows_every_command():
         "ext", "yoneda", "roof", "lemma-check", "projcoh", "prop2-report"}
 
 
+def _text_argv(argv: list[str]) -> list[str]:
+    return [a for a in argv if a != "--json"]
+
+
+# sha256 of the text (non --json) stdout of each README command line, keyed
+# by that line without --json; recorded before the commands returned their
+# documents to `main`, which alone writes them.  lemma-check prints JSON
+# lines either way.
+README_TEXT_DIGESTS = {
+    "ext fixture:kx3_simple fixture:kx3_simple --degree 0 1 2":
+        "f4d3f687b162715c62a3376d517dcbb5901a0cf5ca00d3d967a0244b115dd976",
+    "yoneda fixture:ka3_ses_12 fixture:ka3_ses_23":
+        "5542e6e6641be45065f32ccb294e7567337a42e20e4032336f2d45ba8c2663eb",
+    "roof fixture:kx3_ses_top fixture:kx3_ses_bottom":
+        "ccbc36054eed4a5c4c331c6965a454dbc916903c467af9efd8061e685d454c97",
+    "lemma-check --filtration fixture:kx3_filtration":
+        "a6f8896917f7d478761256e996ff39173b333fdb2c611938fc4ada49d43e863f",
+    "lemma-check --random 0xBEEF 20 --field f2":
+        "b1db1dc361605af2c1d8d1221db7792ec704e4299f8d752eac5996999e195279",
+    "projcoh P1xP1 'O(-6,-6)'":
+        "e6814fe0f87ccb1329face0043e97a078e68cb205abb239ba59ebf6604705f5f",
+    "projcoh P3 'Omega^1(-5)'":
+        "bd8c435a7b3c221b138cd0b25b9358e0b66de433471ecfa78ef1f629f73a1f19",
+    "projcoh --batch fixture:prop2_descriptors":
+        "7a495977b96ac78354078392993f01913008ffdaded300156aebfcc51b26ac25",
+    "prop2-report":
+        "e5101fd794fa0a84168ef25d1365184845ebf2a8f5246de2c03889aa0062b322",
+}
+
+
 @pytest.mark.parametrize("argv", _README_COMMANDS,
                          ids=[f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
-def test_readme_command_lines_run(tmp_path, argv):
+def test_readme_text_output_is_pinned(capsys, argv):
+    rc, out = run(capsys, _text_argv(argv))
+    assert rc == 0
+    digest = README_TEXT_DIGESTS[shlex.join(_text_argv(argv))]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
+def test_readme_command_lines_run(capsys, tmp_path, argv):
+    """Each README line runs, with and without --json, and --out receives
+    the bytes that stdout does."""
     out = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8")
+    for flags in ([], ["--json"]):
+        assert main(_text_argv(argv) + flags + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_bytes()
+        assert written
+        assert run(capsys, _text_argv(argv) + flags) == (0, written.decode("utf-8"))
+
+
+def test_only_main_writes_command_output():
+    """Commands return their documents and `main` writes them: nothing but
+    `main` calls `_emit`, nothing but `_emit` names stdout, and `print` is
+    called only in `main`, with file=sys.stderr."""
+    def to_stderr(call):
+        return any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                   for k in call.keywords)
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    stray = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        allowed = set()
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and ((node.func.id == "_emit" and owner == "main") or (
+                        node.func.id == "print" and owner == "main" and to_stderr(node)))):
+                allowed.add(node.func)
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ((name in ("_emit", "print") and node not in allowed)
+                    or (name in ("stdout", "__stdout__") and owner != "_emit")):
+                stray.append(f"{owner}:{node.lineno} {name}")
+    assert not stray, stray
 
 
 def test_console_script_smoke():
