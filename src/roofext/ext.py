@@ -16,10 +16,14 @@ One comparison lift, _lift_along, serves products (through a resolution),
 extension classes (through the sequence) and roofs.to_ext_class (through
 the apex); degree-1 classes convert back via a pushout.
 
-Resolutions use greedy-minimal generator picking: Nakayama-style through
-the radical when the algebra knows its radical, otherwise a greedy scan
-and a pair-merging pass done as eliminations: one pivot scan of the action
-images of the whole basis, then one rank per merge candidate.
+Resolutions pick generators through the radical when the algebra knows
+its radical (one per basis vector of the top, by Nakayama), otherwise by a
+greedy scan and a pair-merging pass done as eliminations: one pivot scan of
+the action images H of the whole basis, then one rank per merge candidate,
+whose images are sums of blocks of H.  The pass ends once one generator
+fewer could not span the basis: k generators span at most k * dim A.  Either
+way H is the step's only action product: the differential out of the new
+free module is read off it too.
 """
 
 from __future__ import annotations
@@ -87,66 +91,87 @@ def hom_from_free(target: Module, images: Mat) -> Mat:
     return Mat._of(target.field, hit.transpose(0, 2, 1).reshape(target.dim, c * a))
 
 
-def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> Mat:
+def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> tuple[Mat, Mat]:
     """Pick a small generating set for the submodule spanned by basis columns.
 
-    The span must already be action-stable, and basis the identity on its
-    free rows, as _kernel's are.  With a known radical the pick is minimal
-    (Nakayama): the basis vectors at the non-pivots of coords.T, for the
-    radical images' coordinates coords = hit[free].  Without one, the
-    greedy picker: one elimination scans the basis, then one rank decides
-    each pair-merging candidate (see _greedy_generators).
+    Returns the generators g and hom_from_free(ambient, g), the differential
+    out of the free module on them, both read off the one action product
+    H = hom_from_free(ambient, basis).  The span must already be
+    action-stable, and basis the identity on its free rows, as _kernel's
+    are.  With a known radical the pick is the basis vectors at the
+    non-pivots of coords.T, for the radical images' coordinates
+    coords = hit[free]: by Nakayama they generate, one per basis vector of
+    top M = M / rad M.  That is the minimum over a local algebra, but over a
+    quiver algebra with several vertices it keeps dim(top M) = Σ_v m_v
+    generators, m_v = dim e_v(top M), while the minimum free rank is
+    max_v m_v.  Without a radical, the greedy picker: one elimination scans
+    the basis, then one rank decides each pair-merging candidate until the
+    dimension bound ends the pass (see _greedy_generators).
     """
+    H = hom_from_free(ambient, basis)
     if basis.ncols == 0:
-        return basis
+        return basis, H
     rad = ambient.algebra.radical
-    if rad is not None:
-        hit = _radical_images(ambient, basis, rad)
-        coords = hit.take_rows(free)
-        if basis @ coords != hit:
-            raise InvariantError("radical did not preserve the span")
-        piv = set(pivots(coords.T))
-        return basis.take_cols([j for j in range(basis.ncols) if j not in piv])
-    return _greedy_generators(ambient, basis)
+    if rad is None:
+        return _greedy_generators(ambient, basis, H)
+    hit = _radical_images(ambient, H, rad)
+    coords = hit.take_rows(free)
+    if basis @ coords != hit:
+        raise InvariantError("radical did not preserve the span")
+    piv = set(pivots(coords.T))
+    keep = [j for j in range(basis.ncols) if j not in piv]
+    n = ambient.algebra.dim
+    return basis.take_cols(keep), H.take_cols([j * n + s for j in keep for s in range(n)])
 
 
-def _radical_images(ambient: Module, basis: Mat, rad: Mat) -> Mat:
-    """[R_0 basis | R_1 basis | ...], R_j the action of the radical element
-    with coordinates rad[:, j]: one product of the images e_s b_t, one row
-    per (entry, t), with the radical coordinates."""
-    field, dim, c = ambient.field, ambient.dim, basis.ncols
+def _radical_images(ambient: Module, H: Mat, rad: Mat) -> Mat:
+    """[R_0 basis | R_1 basis | ...] from H = hom_from_free(ambient, basis),
+    R_j the action of the radical element with coordinates rad[:, j]: one
+    product of the images e_s b_t, one row per (entry, t), with the radical
+    coordinates."""
+    field, dim = ambient.field, ambient.dim
     n, q = rad.shape
-    hit = hom_from_free(ambient, basis).a.reshape(dim * c, n)
-    out = _dot(field, hit, rad.a).reshape(dim, c, q).transpose(0, 2, 1)
+    c = H.ncols // n
+    out = _dot(field, H.a.reshape(dim * c, n), rad.a).reshape(dim, c, q).transpose(0, 2, 1)
     return Mat._of(field, out.reshape(dim, q * c))
 
 
-def _greedy_generators(ambient: Module, basis: Mat) -> Mat:
-    """Generators for an algebra without a known radical, by eliminations.
+def _greedy_generators(ambient: Module, basis: Mat, H: Mat) -> tuple[Mat, Mat]:
+    """Generators for an algebra without a known radical, by eliminations,
+    and the differential out of the free module on them.
 
     The scan keeps basis column v_j exactly when v_j lies outside
     A{v_0..v_(j-1)}, which is when the group of columns e_s v_j of
     H = hom_from_free(ambient, basis) holds a pivot of H: a pivot column is
     one outside the span of the columns before it.  The pair-merging pass
     then replaces two generators by their sum (or difference) while the
-    result still generates, decided by one rank per candidate.
+    result still generates, decided by one rank per candidate.  Each
+    generator carries its block of H, and the action is linear, so a
+    candidate's images are the sum (or difference) of two blocks, and the
+    kept blocks side by side are the differential: H is the only action
+    product.  k generators span at most k * dim A, so the pass ends once one
+    generator fewer could not reach the span's dimension.
     """
     field, n, total = ambient.field, ambient.algebra.dim, basis.ncols
-    gens = [basis.a[:, j] for j in sorted({c // n for c in pivots(hom_from_free(ambient, basis))})]
+    keep = sorted({c // n for c in pivots(H)})
+    gens = [(basis.a[:, j], H.a[:, j * n:(j + 1) * n]) for j in keep]
     signs = (1,) if field.char == 2 else (1, -1)
 
-    def merged() -> list[np.ndarray] | None:
+    def merged() -> list[tuple[np.ndarray, np.ndarray]] | None:
         for i, j in combinations(range(len(gens)), 2):
             rest = [g for t, g in enumerate(gens) if t not in (i, j)]
+            (u, hu), (v, hv) = gens[i], gens[j]
             for s in signs:
-                cand = rest + [gens[i] + s * gens[j]]
-                if rank(ambient.act_all(Mat(field, np.array(cand, dtype=object).T))) == total:
-                    return cand
+                images = field.reduce(hu + s * hv)
+                blocks = [h for _, h in rest] + [images]
+                if rank(Mat._of(field, np.concatenate(blocks, axis=1))) == total:
+                    return rest + [(u + s * v, images)]
         return None
 
-    while len(gens) > 1 and (cand := merged()) is not None:
+    while len(gens) > 1 and total <= (len(gens) - 1) * n and (cand := merged()) is not None:
         gens = cand
-    return Mat(field, np.array(gens, dtype=object).T)
+    return (Mat(field, np.array([g for g, _ in gens], dtype=object).T),
+            Mat._of(field, np.concatenate([h for _, h in gens], axis=1)))
 
 
 class Resolution:
@@ -186,11 +211,10 @@ class Resolution:
             else:
                 prev = self.target
                 span = Mat.identity(prev.field, prev.dim), tuple(range(prev.dim))
-            g = minimal_generators(prev, *span)
+            g, dmat = minimal_generators(prev, *span)
             self.gens.append(g)
             self.ranks.append(g.ncols)
             self.terms.append(free_module(self.target.algebra, g.ncols))
-            dmat = hom_from_free(prev, g)
             self._maps.append(dmat)
             self._kers.append(_kernel(dmat))
 

@@ -17,7 +17,11 @@ cached resolution and Ext spaces serve every document that names it.  A
 loader called without a table starts a fresh one, which the modules of one
 document share.  The command line keeps one table per invocation, so
 nothing is cached across invocations.  Hash references still resolve only
-against algebras written inline earlier in the same document.
+against algebras written inline earlier in the same document.  A loader
+hashes an algebra only for a hash registry, once per table entry: the
+extension and complex loaders keep one per document, the module and
+filtration loaders none, so `ext` and `lemma-check --filtration` hash no
+algebra.
 """
 
 from __future__ import annotations
@@ -156,12 +160,13 @@ def algebra_from_json(obj, registry: dict[str, Algebra] | None = None,
                   for i, plane in enumerate(mult)]
         unit = _need(obj, "unit", list, where)
         unit_mat = mat_from_json(field, [unit], 1, n, where)
-        alg = Algebra(field, planes, unit_mat.a[0], check=True)
-        table[text] = (alg, algebra_hash(alg))
-    alg, h = table[text]
+        table[text] = [Algebra(field, planes, unit_mat.a[0], check=True), None]
+    entry = table[text]
     if registry is not None:
-        registry[h] = alg
-    return alg
+        if entry[1] is None:  # hashed once per table entry, and only for a registry
+            entry[1] = algebra_hash(entry[0])
+        registry[entry[1]] = entry[0]
+    return entry[0]
 
 
 # -- modules -----------------------------------------------------------------

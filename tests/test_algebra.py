@@ -719,6 +719,37 @@ def test_no_module_reads_the_environment():
     assert not reads, reads
 
 
+def test_every_process_cache_wraps_a_function_without_parameters():
+    """Each functools cache in roofext, a decorator or a call, wraps a
+    function with no parameters, so it holds one value per process and no
+    input of an invocation: nothing is cached across invocations."""
+    caches = {"cache", "lru_cache"}
+    cached, bad = set(), []
+    for path in sorted(Path(roofext.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        aliases = {a.asname or a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.module == "functools"
+                   for a in n.names if a.name in caches}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = node.value.id == "functools" and node.attr in caches
+            else:
+                hit = isinstance(node, ast.Name) and node.id in aliases
+            if not hit:
+                continue
+            wrapped = [f for f in defs.values() if node in f.decorator_list]
+            wrapped += [defs.get(a.id) for c in ast.walk(tree) if isinstance(c, ast.Call)
+                        and c.func is node for a in c.args if isinstance(a, ast.Name)]
+            for f in wrapped or [None]:
+                if f is None or ast.unparse(f.args):
+                    bad.append(f"{path.name}:{node.lineno}")
+                else:
+                    cached.add(f.name)
+    assert not bad, bad
+    assert "build_parser" in cached
+
+
 def test_direct_sum_identities():
     alg = truncated_polynomial_algebra(F2, 3)
     m = free_module(alg, 1)

@@ -130,9 +130,9 @@ def _fixture_doc(name: str) -> dict:
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Count Algebra.validate, Module.validate, the greedy generator picker
-    and Ext-space constructions from here on."""
-    counts = {"algebra": 0, "module": 0, "greedy": 0, "ext_spaces": 0}
+    """Count Algebra.validate, Module.validate, the greedy generator picker,
+    Ext-space constructions and algebra hashes from here on."""
+    counts = {"algebra": 0, "module": 0, "greedy": 0, "ext_spaces": 0, "hash": 0}
 
     def counted(owner, attr, name):
         real = getattr(owner, attr)
@@ -147,21 +147,28 @@ def _count_calls(monkeypatch) -> dict:
     counted(Module, "validate", "module")
     counted(ext, "_greedy_generators", "greedy")
     counted(ext, "_ExtSpace", "ext_spaces")
+    counted(jsonio, "algebra_hash", "hash")
     return counts
 
 
 # Per invocation: the two documents' common algebra is validated once and
 # each distinct module once (kx3's sequences hold only the simple and the
-# middle module), and a shared module is resolved once.
+# middle module), and a shared module is resolved once.  An algebra is
+# hashed only for a document's hash registry, once per invocation: extension
+# documents keep one, the module and filtration loaders none.
 SHARED_LOAD_COUNTS = {
     ("roof", "ka3_ses_12", "ka3_ses_23"):
-        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3},
+        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3, "hash": 1},
     ("yoneda", "ka3_ses_12", "ka3_ses_23"):
-        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3},
+        {"algebra": 1, "module": 5, "greedy": 5, "ext_spaces": 3, "hash": 1},
     ("roof", "kx3_ses_top", "kx3_ses_bottom"):
-        {"algebra": 1, "module": 2, "greedy": 3, "ext_spaces": 2},
+        {"algebra": 1, "module": 2, "greedy": 3, "ext_spaces": 2, "hash": 1},
     ("ext", "kx3_simple", "kx3_simple"):
-        {"algebra": 1, "module": 1, "greedy": 3, "ext_spaces": 3},
+        {"algebra": 1, "module": 1, "greedy": 3, "ext_spaces": 3, "hash": 0},
+    ("ext", "ka3_simple1", "ka3_simple3"):
+        {"algebra": 1, "module": 2, "greedy": 3, "ext_spaces": 3, "hash": 0},
+    ("lemma-check", "--filtration", "kx3_filtration"):
+        {"algebra": 1, "module": 1, "greedy": 5, "ext_spaces": 3, "hash": 0},
 }
 
 
@@ -169,7 +176,8 @@ SHARED_LOAD_COUNTS = {
 def test_an_invocation_loads_each_algebra_and_module_once(capsys, monkeypatch, command):
     counts = _count_calls(monkeypatch)
     name, *tokens = command
-    assert main([name, *(f"fixture:{t}" for t in tokens), "--json"]) == 0
+    argv = [t if t.startswith("--") else f"fixture:{t}" for t in tokens]
+    assert main([name, *argv, "--json"]) == 0
     capsys.readouterr()
     assert counts == SHARED_LOAD_COUNTS[command]
 

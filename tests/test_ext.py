@@ -16,7 +16,13 @@ import pytest
 from helpers import ext_space_reference, greedy_generators_reference
 
 from roofext import cli, jsonio, linalg
-from roofext.algebra import direct_sum, free_module, hom_space, random_bound_quiver_algebra
+from roofext.algebra import (
+    Module,
+    direct_sum,
+    free_module,
+    hom_space,
+    random_bound_quiver_algebra,
+)
 from roofext.errors import MiddleMismatchError, SchemaError, TruncationError
 from roofext.ext import (
     SPLICE_PRODUCT_SIGN,
@@ -29,6 +35,7 @@ from roofext.ext import (
     ext_group,
     extension_from_class,
     free_resolution,
+    hom_from_free,
     is_trivial,
     lift_solve,
     minimal_generators,
@@ -104,7 +111,7 @@ def test_block_products_match_per_block_references(field):
             mats = [N.act_mat(s) for s in range(alg.dim)]
             expected = [_combine(field, rad.a[:, j], mats, N.dim) @ basis
                         for j in range(rad.ncols)]
-            assert _radical_images(N, basis, rad) == hstack(
+            assert _radical_images(N, hom_from_free(N, basis), rad) == hstack(
                 [Mat.zeros(field, N.dim, 0)] + expected)
 
 
@@ -179,9 +186,11 @@ def test_greedy_generators_match_reference(field):
     one-test-at-a-time reference, in the same order, at every step of the
     resolutions of 52 seeded modules per field.  A merged generator is a
     sum or difference of basis columns, so it is no basis column itself;
-    each field has steps with one."""
+    each field has steps with one, and steps where the dimension bound ended
+    the pass: k > 1 generators were kept, and k - 1 of them could not span
+    the basis, since they span at most (k - 1) * dim A."""
     rng = Random(0x6E7)
-    merged = 0
+    merged = bounded = 0
     for _ in range(52):
         algebra = random_bound_quiver_algebra(rng, field)
         algebra.radical = None
@@ -193,27 +202,50 @@ def test_greedy_generators_match_reference(field):
             ref = greedy_generators_reference(prev, basis)
             assert res.gens[k].key() == ref.key()
             merged += not {tuple(g) for g in ref.a.T} <= {tuple(v) for v in basis.a.T}
-    assert merged > 0
+            bounded += 1 < ref.ncols and (ref.ncols - 1) * algebra.dim < basis.ncols
+    assert merged > 0 and bounded > 0
 
 
 def test_greedy_picker_eliminates_once_per_candidate(monkeypatch):
-    """On a JSON fixture (no radical, over Q) one elimination scans the basis
-    and one decides each merge candidate the reference tried, which built one
-    IncrementalSpan for the scan and one per candidate; the picker grows
-    none."""
+    """Through degree 2 of a JSON fixture (no radical, over Q) the picker
+    takes the reference's generators and the differential on them with one
+    action product per call, the scan's H, whose blocks give every merge
+    candidate's images.  One elimination scans the basis and one decides
+    each merge candidate the reference tried (it built one IncrementalSpan
+    for the scan and one per candidate), until the dimension bound ends the
+    pass: after that the picker tries none, so once the bound fires it makes
+    fewer rank tests than the reference tried.  It grows no IncrementalSpan."""
     M = jsonio.module_from_json(cli._document("fixture:ka3_simple1"))
     assert M.algebra.radical is None
-    res = free_resolution(M, 0)
+    res = free_resolution(M, 2)
+    steps = [(M, Mat.identity(QQ, M.dim), tuple(range(M.dim))),
+             *((res.terms[k], *res._kers[k]) for k in range(2))]
     spans, adds = [], []
     init = linalg.IncrementalSpan.__init__
     monkeypatch.setattr(linalg.IncrementalSpan, "__init__",
                         lambda self, *a: spans.append(a) or init(self, *a))
-    ref = greedy_generators_reference(res.terms[0], res._kers[0][0])
+    refs, tried = [], []
+    for prev, basis, _ in steps:
+        spans.clear()
+        refs.append(greedy_generators_reference(prev, basis))
+        tried.append(len(spans) - 1)  # one span scans, one per candidate
+    maps = [hom_from_free(prev, ref) for (prev, _, _), ref in zip(steps, refs)]
     monkeypatch.setattr(linalg.IncrementalSpan, "add", lambda self, v: adds.append(v))
+    products = []
+    act_all = Module.act_all
+    monkeypatch.setattr(Module, "act_all", lambda self, v: products.append(v) or act_all(self, v))
     calls = _count_eliminations(monkeypatch)
-    gens = minimal_generators(res.terms[0], *res._kers[0])
-    assert gens == ref and len(spans) > 2
-    assert len(calls) == len(spans) and not adds
+    fired = 0
+    for (prev, basis, free), ref, dmat, ref_tried in zip(steps, refs, maps, tried):
+        products.clear()
+        calls.clear()
+        assert minimal_generators(prev, basis, free) == (ref, dmat)
+        assert len(products) == 1
+        bound = 1 < ref.ncols and (ref.ncols - 1) * M.algebra.dim < basis.ncols
+        fired += bound
+        rank_tests = len(calls) - 1  # one pivot scan, then one rank per candidate
+        assert rank_tests < ref_tried if bound else rank_tests == ref_tried
+    assert fired > 0 and max(tried) > 0 and not adds
 
 
 def test_resolution_grows_in_place():
