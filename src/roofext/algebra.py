@@ -29,6 +29,7 @@ is action-stable because e_j (e_i g) = (e_j e_i) g and contains G because
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from random import Random
 
 import numpy as np
@@ -256,7 +257,7 @@ class ModuleHom:
     """A-linear map between modules over the same algebra."""
 
     def __init__(self, source: Module, target: Module, matrix: Mat, check: bool = True):
-        if source.algebra != target.algebra:
+        if source.algebra is not target.algebra and source.algebra != target.algebra:
             raise SchemaError("module homomorphism across different algebras")
         if matrix.shape != (target.dim, source.dim):
             raise SchemaError(
@@ -272,7 +273,7 @@ class ModuleHom:
         m = self.source.dim
         moved = self.matrix @ self.source.actions()
         bad = self.target.act_all(self.matrix).a != moved.a
-        if bad.any():
+        if np.count_nonzero(bad):
             i = int(np.flatnonzero(bad.any(axis=0))[0]) // m
             raise SchemaError(f"map fails to intertwine the action of e_{i}")
 
@@ -365,9 +366,9 @@ def _law_failure(algebra: Algebra, stacked: np.ndarray, a: int):
     side = stacked.reshape(n, a, a).transpose(1, 0, 2).reshape(a, n * a)
     lhs = _dot(field, stacked, side).reshape(n, a, n, a).transpose(0, 2, 1, 3)
     rhs = _dot(field, algebra.mult.reshape(n * n, n), flat)
-    bad = (lhs.reshape(n * n, a * a) != rhs).any(axis=1)
-    if bad.any():
-        return divmod(int(np.flatnonzero(bad)[0]), n)
+    bad = lhs.reshape(n * n, a * a) != rhs
+    if np.count_nonzero(bad):
+        return divmod(int(np.flatnonzero(bad.any(axis=1))[0]), n)
     return None
 
 
@@ -433,7 +434,7 @@ def submodule_quotient(module: Module, incl: ModuleHom | Mat):
     proj = K.T  # canonical quotient coordinates: see the linalg docstring
     basis = gens if gens.ncols == len(piv) else Mat._of(module.field, take(range(module.dim)).T)
     escaped = (proj @ module.act_all(basis)).a != 0
-    if escaped.any():
+    if np.count_nonzero(escaped):
         i = int(np.flatnonzero(escaped.any(axis=0))[0]) // basis.ncols
         raise NotSubmoduleError(f"image not stable under the action of e_{i}")
     section = Mat.identity(module.field, module.dim).take_cols(free)
@@ -478,7 +479,7 @@ def direct_sum(mods: list[Module]):
     algebra = mods[0].algebra
     field = mods[0].field
     n = algebra.dim
-    offs = np.cumsum([0] + [m.dim for m in mods]).tolist()
+    offs = list(accumulate([m.dim for m in mods], initial=0))
     hit = field.zeros((offs[-1], n, offs[-1]))  # [A_0 | A_1 | ...], reshaped
     for m, o in zip(mods, offs):
         if m.dim:

@@ -104,7 +104,8 @@ class Complex:
                 raise SchemaError(f"d*d != 0 between degrees {n} and {n + 2}")
 
     def obj(self, n: int) -> Module:
-        return self.objects.get(n, zero_module(self.algebra))
+        m = self.objects.get(n)
+        return zero_module(self.algebra) if m is None else m
 
     def diff(self, n: int) -> ModuleHom:
         d = self.diffs.get(n)
@@ -381,7 +382,7 @@ def find_homotopy(f: ChainMap, g: ChainMap | None = None) -> Homotopy | None:
     for K, n in zip(bases, degs):
         flat = (K @ sol.take_rows(range(off, off + K.ncols))).a
         off += K.ncols
-        if flat.any():
+        if np.count_nonzero(flat):
             comps[n] = ModuleHom(x.obj(n), y.obj(n - 1), Mat._of(
                 field, flat.reshape(y.obj(n - 1).dim, x.obj(n).dim)), check=False)
     h = Homotopy(x, y, comps)

@@ -45,7 +45,12 @@ reduces it (over F_p exactly for ints of any size, refusing an entry that
 is not an integer, and over Q one that is not a rational number, such as
 a float or a string, with SchemaError), and results that are canonical by
 construction skip that through `Mat._of`; a kernel basis is one of them,
-as _reduced negates in the field.
+as _reduced negates in the field.  Both mark the array read-only and fill
+the two slots through the slots' own setters, bound once at module level,
+while `Mat.__setattr__` refuses every assignment: no attribute of a Mat can
+be rebound and no entry written.  A zero test, here and in the layers
+above, counts nonzeros (`np.count_nonzero`, one C call) instead of calling
+`.any()`, which goes through numpy's Python-level reduction.
 """
 
 from __future__ import annotations
@@ -288,8 +293,8 @@ class Mat:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         a = field.reduce(arr)
         a.setflags(write=False)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
+        _set_field(self, field)
+        _set_a(self, a)
 
     @classmethod
     def _of(cls, field: Field, a: np.ndarray) -> "Mat":
@@ -297,8 +302,8 @@ class Mat:
         that nothing else holds; it is made read-only, not copied or reduced."""
         a.setflags(write=False)
         out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "a", a)
+        _set_field(out, field)
+        _set_a(out, a)
         return out
 
     def __setattr__(self, *_):
@@ -336,7 +341,7 @@ class Mat:
         return Mat._of(self.field, self.a.T.copy())
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not np.count_nonzero(self.a)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -345,10 +350,12 @@ class Mat:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        self._coerce(other)
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return Mat._of(self.field, _dot(self.field, self.a, other.a))
+        field, a, b = self.field, self.a, other.a
+        if other.field is not field:
+            self._coerce(other)
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+        return Mat._of(field, _dot(field, a, b))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._coerce(other)
@@ -369,11 +376,12 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
+        a, b = self.a, other.a
+        if other.field is not self.field and other.field != self.field or a.shape != b.shape:
             return False
-        if self.a.size == 0:
+        if a.size == 0:
             return True
-        return bool((self.a == other.a).all())
+        return bool((a == b).all())
 
     def __hash__(self):
         return hash(self.key())
@@ -404,15 +412,19 @@ class Mat:
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols})"
 
 
+# The slots' own setters, which bypass Mat.__setattr__ (see the module docstring).
+_set_field, _set_a = Mat.field.__set__, Mat.a.__set__
+
+
 def _dot(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[1] == 0 or A.shape[0] == 0 or B.shape[1] == 0:
-        return field.zeros((A.shape[0], B.shape[1]))
-    if isinstance(field, PrimeField):
+    if isinstance(field, PrimeField):  # an int64 product of empty operands is exact zeros
         p, step = field.p, field.dot_chunk
         if A.shape[1] <= step:
             return A.dot(B) % p
         return sum(A[:, k : k + step].dot(B[k : k + step]) % p
                    for k in range(0, A.shape[1], step)) % p
+    if A.shape[1] == 0 or A.shape[0] == 0 or B.shape[1] == 0:
+        return field.zeros((A.shape[0], B.shape[1]))
     na, nb, d = A, B, 1
     fa, fb = A.reshape(-1).tolist(), B.reshape(-1).tolist()
     if not _all_int(fa + fb):
@@ -542,11 +554,16 @@ def _reduced(m: Mat) -> tuple[tuple[int, ...], Callable]:
 
     def take(cols, neg=False, rows=None):
         cols = list(cols)
+        w = len(cols)
         read = red[: len(piv)] if rows is None else [at.get(j) for j in range(rows)]
-        flat = []  # numpy reads one flat list faster than nested ones
-        for j, row in enumerate(read):
-            flat += [int(c == j) for c in cols] if row is None else entries(row, cols, neg)
-        return np.array(flat, dtype=dtype).reshape(len(read), len(cols))
+        flat, zero = [], [0] * w  # numpy reads one flat list faster than nested ones
+        for row in read:
+            flat += zero if row is None else entries(row, cols, neg)
+        if rows is not None:  # unit row j holds 1 where column j is read
+            for t, j in enumerate(cols):
+                if j < rows and j not in at:
+                    flat[j * w + t] = 1
+        return np.array(flat, dtype=dtype).reshape(len(read), w)
 
     return tuple(piv), take
 
@@ -824,7 +841,7 @@ class IncrementalSpan:
 
     def contains(self, v: np.ndarray) -> bool:
         w = self._reduce(np.array(v, copy=True))
-        return not (w != 0).any()
+        return not np.count_nonzero(w)
 
     def add(self, v: np.ndarray) -> bool:
         """Insert a vector; returns True when it enlarged the span."""

@@ -41,14 +41,19 @@ complex_validate_reference, complex_eq_reference) walk every degree of the
 range and build a zero map through diff()/comp() for each absent entry, as
 the complex layer did before it iterated stored components only; equality
 is key equality.
+
+route_linalg is test tooling, not an oracle: it rebinds a linalg function
+in every roofext module that imported it, so a test can count its calls.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 
+from roofext import linalg
 from roofext.algebra import (
     Algebra, Filtration, Module, ModuleHom, free_module, hom_space, quiver_simple,
     random_bound_quiver_algebra, submodule, submodule_quotient)
@@ -59,6 +64,21 @@ from roofext.instances import random_ext_element
 from roofext.linalg import (
     QQ, IncrementalSpan, Mat, PrimeField, _clear_denominators, block_diag, hstack,
     kernel_basis, pivots, random_mat, rank, solve, subquotient)
+
+
+def route_linalg(monkeypatch, fn: str, hook) -> None:
+    """Route linalg's function fn through hook in every roofext module that
+    binds it, linalg itself included: every call, made through any import of
+    it or inside linalg, first passes its arguments to hook."""
+    real = getattr(linalg, fn)
+
+    def routed(*args):
+        hook(*args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("roofext") and getattr(module, fn, None) is real:
+            monkeypatch.setattr(module, fn, routed)
 
 
 def coordinates_in_hom_basis(basis: list[ModuleHom], hom_matrix: Mat) -> Mat:

@@ -8,12 +8,11 @@ Ext^1 along each arrow, one-dimensional Ext^2 along the length-two path,
 and the product of the two arrow classes generates it.
 """
 
-import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
-from helpers import ext_space_reference, greedy_generators_reference
+from helpers import ext_space_reference, greedy_generators_reference, route_linalg
 
 from roofext import cli, jsonio, linalg
 from roofext.algebra import (
@@ -131,19 +130,14 @@ def _count_eliminations(monkeypatch, names=("_reduced", "_eliminate_qq")) -> lis
     any prime: it never calls _reduced."""
     calls = []
 
-    def counter(real, prime_only):
-        def counted(m):
+    def counter(prime_only):
+        def count(m):
             if not (prime_only and m.field.char == 0):
                 calls.append(m.shape)
-            return real(m)
-        return counted
+        return count
 
     for fn in names:
-        real = getattr(linalg, fn)
-        counted = counter(real, fn == "_reduced")
-        for name, module in list(sys.modules.items()):
-            if name.startswith("roofext") and getattr(module, fn, None) is real:
-                monkeypatch.setattr(module, fn, counted)
+        route_linalg(monkeypatch, fn, counter(fn == "_reduced"))
     return calls
 
 

@@ -775,11 +775,39 @@ def test_results_are_canonical_and_read_only(field):
                    Z, include, project, Mat.zeros(field, m, n), Mat.identity(field, k)]
         for r in results:
             _assert_canonical(r)
+            assert r.is_zero() == (not r.a.any())
+        # products with an empty dimension: (m x 0)(0 x n), (0 x k)(k x n), (m x k)(k x 0)
+        for x, y in [(Mat.zeros(field, m, 0), Mat.zeros(field, 0, n)),
+                     (Mat.zeros(field, 0, k), b), (a, Mat.zeros(field, k, 0))]:
+            r = x @ y
+            _assert_canonical(r)
+            assert r.shape == (x.nrows, y.ncols) and r.is_zero() and not r.a.any()
     algebra = random_bound_quiver_algebra(rng, field)
     for module in (free_module(algebra, 2), random_module(rng, algebra)):
         vecs = random_mat(rng, field, module.dim, 3)
         _assert_canonical(module.act_all(vecs))
         _assert_canonical(module.act(algebra.dim - 1, vecs))
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_mats_refuse_every_write(field):
+    """Whatever made a Mat, neither attribute can be rebound and its array
+    cannot be written in place."""
+    rng = Random(31)
+    a, b = random_mat(rng, field, 3, 4), random_mat(rng, field, 4, 2)
+    made = [Mat(field, [[1, 2], [0, 3]]), Mat._of(field, field.zeros((2, 3))), a @ b, a.T,
+            a.take_cols([2, 0])]
+    for r in made:
+        held = r.a
+        with pytest.raises(AttributeError):
+            r.a = field.zeros(r.shape)
+        with pytest.raises(AttributeError):
+            r.field = GF(7)
+        with pytest.raises(ValueError):
+            r.a[0, 0] = 1
+        with pytest.raises(ValueError):
+            r.a[...] = 0
+        assert r.a is held and r.field is field
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF(5), GF(33554393), QQ], ids=str)

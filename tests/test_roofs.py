@@ -5,9 +5,11 @@ coordinates in the same Ext group and the assertion is equality, not
 equality up to sign or scalar.
 """
 
+from collections import Counter
 from random import Random
 
 import pytest
+from helpers import route_linalg
 
 from roofext.algebra import Module, ModuleHom, submodule
 from roofext.complexes import ChainMap, Complex, is_quasi_iso, shift, zero_module
@@ -285,6 +287,25 @@ def test_filtration_two_class_random(rng):
         a1, a2, alpha, report = filtration_two_class(f)
         assert alpha.is_zero()
         assert alpha == yoneda_product(a2, a1)
+
+
+def test_lemma_check_work_is_pinned(monkeypatch):
+    """The lemma check's exact work on 40 seeded filtrations, F2 and F3
+    alternating: its eliminations, products and module actions, counted
+    through every roofext binding.  The fixed cost around them may shrink;
+    the work itself is pinned."""
+    rng = Random(5)
+    filtrations = [random_filtration(rng, F2 if t % 2 == 0 else F3, max_dim=6)
+                   for t in range(40)]
+    counts = Counter()
+    for fn in ("_reduced", "pivots", "_dot"):
+        route_linalg(monkeypatch, fn, lambda *_, fn=fn: counts.update([fn]))
+    apply = Module._apply
+    monkeypatch.setattr(Module, "_apply",
+                        lambda self, *a: counts.update(["_apply"]) or apply(self, *a))
+    for f in filtrations:
+        filtration_two_class(f)
+    assert counts == {"_reduced": 840, "pivots": 640, "_dot": 2840, "_apply": 680}
 
 
 def test_filtration_two_class_rejects_degenerate():
