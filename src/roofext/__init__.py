@@ -12,7 +12,6 @@ from .errors import (
     MiddleMismatchError,
     NotSubmoduleError,
     SchemaError,
-    TruncationError,
     UnsupportedEndpointsError,
 )
 from .linalg import (

@@ -147,7 +147,7 @@ class Module:
     """
 
     def __init__(self, algebra: Algebra, action: list[Mat] | Mat | None = None,
-                 free_rank: int | None = None, label: str = "", check: bool = False):
+                 free_rank: int | None = None, label: str = ""):
         self.algebra = algebra
         self.label = label
         self._cache: dict = {}
@@ -171,8 +171,6 @@ class Module:
                                   f" square blocks of module dimension {hit.nrows}")
             self._hit = hit
             self.dim = hit.nrows
-        if check:
-            self.validate()
 
     @property
     def field(self) -> Field:
@@ -527,8 +525,8 @@ def _quiver_paths(num_vertices: int, arrows: list[tuple[int, int]],
 # 1s: the table is 0/1 over every field, so one read-only pattern per shape
 # (nv, tuple(arrows), nil_index) serves them all, and as a pattern depends on
 # its key alone, sharing the store cannot change a result.  Only
-# random_filtration reads it, over the 1,806 shapes of _random_quiver_shape's
-# defaults: about 0.4 MB of arrays.
+# random_filtration reads it, over the 1,806 shapes of _random_quiver_shape:
+# about 0.4 MB of arrays.
 _TABLE_ONES: dict[tuple, tuple[int, np.ndarray]] = {}
 
 
@@ -578,16 +576,17 @@ def quiver_simple(algebra: Algebra, vertex: int) -> Module:
     return Module(algebra, action=hit, label=f"S{vertex}")
 
 
-def _random_quiver_shape(rng: Random, max_vertices: int = 3, max_arrows: int = 3) -> tuple:
-    """(vertices, arrows, nil_index) of a random small bound quiver algebra."""
-    nv, na = rng.randint(2, max_vertices), rng.randint(1, max_arrows)
+def _random_quiver_shape(rng: Random) -> tuple:
+    """(vertices, arrows, nil_index) of a random small bound quiver algebra:
+    2-3 vertices, 1-3 arrows, and radical square or cube zero."""
+    nv, na = rng.randint(2, 3), rng.randint(1, 3)
     return nv, [(rng.randrange(nv), rng.randrange(nv)) for _ in range(na)], rng.choice((2, 2, 3))
 
 
-def random_bound_quiver_algebra(rng: Random, field: Field, max_vertices: int = 3,
-                                max_arrows: int = 3) -> Algebra:
-    """Random small bound quiver algebra for the randomized suites."""
-    return bound_quiver_algebra(field, *_random_quiver_shape(rng, max_vertices, max_arrows))
+def random_bound_quiver_algebra(rng: Random, field: Field) -> Algebra:
+    """Random small bound quiver algebra for the randomized suites (2-3
+    vertices, 1-3 arrows; see _random_quiver_shape)."""
+    return bound_quiver_algebra(field, *_random_quiver_shape(rng))
 
 
 def truncated_polynomial_algebra(field: Field, n: int = 3) -> Algebra:

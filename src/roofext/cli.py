@@ -41,7 +41,6 @@ from .errors import (
     MiddleMismatchError,
     NotSubmoduleError,
     SchemaError,
-    TruncationError,
     UnsupportedEndpointsError,
 )
 from .ext import (
@@ -66,6 +65,9 @@ EXIT_INTERNAL = 5
 EXIT_MEMORY = 6
 
 RNG_ALGORITHM = "mersenne-twister"
+# what a bare `lemma-check --random` draws
+DEFAULT_SEED = "0xC0FFEE"
+DEFAULT_COUNT = 1
 
 
 def _document(token: str) -> dict:
@@ -127,7 +129,7 @@ def cmd_ext(args) -> tuple:
         raise SchemaError("Ext degree must be nonnegative")
     table = {}
     for d in degrees:
-        dim, basis = ext_group(m, n, d, truncate=args.truncate)
+        dim, basis = ext_group(m, n, d)
         table[str(d)] = {
             "dim": dim,
             "basis": [{"coords": _coords(b),
@@ -230,13 +232,11 @@ def _instance_line(index: int, report: dict) -> dict:
 def cmd_lemma_check(args) -> tuple:
     if args.random is not None and args.filtration:
         raise SchemaError("choose either --filtration or --random, not both")
-    seed = args.seed
-    count = args.count
-    if args.random is not None:
-        if len(args.random) == 2:
-            seed, count = args.random[0], _parse_count(args.random[1])
-        elif args.random:
+    seed, count = DEFAULT_SEED, DEFAULT_COUNT
+    if args.random:
+        if len(args.random) != 2:
             raise SchemaError("--random takes no arguments or SEED COUNT")
+        seed, count = args.random[0], _parse_count(args.random[1])
     if count < 1:
         raise SchemaError("count must be >= 1")
     if args.filtration:
@@ -370,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ext", help="Ext dimensions and basis cocycles")
     p.add_argument("module", nargs=2, help="module JSON files (source, target)")
     p.add_argument("--degree", nargs="+", type=int, default=[0, 1, 2])
-    p.add_argument("--truncate", type=int, default=None,
-                   help="cap the resolution length")
     _add_output_flags(p)
     p.set_defaults(func=cmd_ext)
 
@@ -389,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="filtration two-step classes and their product")
     p.add_argument("--filtration", metavar="FILE", help="filtration JSON file")
     p.add_argument("--random", nargs="*", metavar="ARG",
-                   help="random suite; optionally SEED COUNT")
-    p.add_argument("--seed", default="0xC0FFEE", help="hex seed for --random")
-    p.add_argument("--count", type=int, default=1, help="number of random instances")
+                   help=f"random suite; optionally SEED COUNT (hex, then how many; "
+                        f"default {DEFAULT_SEED} {DEFAULT_COUNT})")
     p.add_argument("--field", default="f3", help="q, f2, f3, or fp:<p>")
     _add_output_flags(p)
     p.set_defaults(func=cmd_lemma_check)
@@ -430,8 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (MiddleMismatchError, UnsupportedEndpointsError,
-            TruncationError, NotSubmoduleError) as exc:
+    except (MiddleMismatchError, UnsupportedEndpointsError, NotSubmoduleError) as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except DegenerateFiltrationError as exc:

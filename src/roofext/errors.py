@@ -38,10 +38,6 @@ class UnsupportedEndpointsError(ValueError):
     """A roof's endpoints are not shifted single modules."""
 
 
-class TruncationError(ValueError):
-    """An Ext degree beyond the resolution truncation was requested."""
-
-
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug, never bad input.
 

@@ -20,10 +20,10 @@ Resolutions pick generators through the radical when the algebra knows
 its radical (one per basis vector of the top, by Nakayama), otherwise by a
 greedy scan and a pair-merging pass done as eliminations: one pivot scan of
 the action images H of the whole basis, then one rank per merge candidate,
-whose images are sums of blocks of H.  The pass ends once one generator
-fewer could not span the basis: k generators span at most k * dim A.  Either
-way H is the step's only action product: the differential out of the new
-free module is read off it too.
+the sum of two generators, whose images are the sum of their blocks of H.
+The pass ends once one generator fewer could not span the basis: k
+generators span at most k * dim A.  Either way H is the step's only action
+product: the differential out of the new free module is read off it too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .algebra import (
     free_module,
     submodule_quotient,
 )
-from .errors import InvariantError, MiddleMismatchError, SchemaError, TruncationError
+from .errors import InvariantError, MiddleMismatchError, SchemaError
 from .linalg import (
     Mat,
     _dot,
@@ -105,8 +105,9 @@ def minimal_generators(ambient: Module, basis: Mat, free: tuple[int, ...]) -> tu
     quiver algebra with several vertices it keeps dim(top M) = Σ_v m_v
     generators, m_v = dim e_v(top M), while the minimum free rank is
     max_v m_v.  Without a radical, the greedy picker: one elimination scans
-    the basis, then one rank decides each pair-merging candidate until the
-    dimension bound ends the pass (see _greedy_generators).
+    the basis, then one rank decides each merge candidate, the sum of two
+    generators, until the dimension bound ends the pass (see
+    _greedy_generators).
     """
     H = hom_from_free(ambient, basis)
     if basis.ncols == 0:
@@ -144,28 +145,26 @@ def _greedy_generators(ambient: Module, basis: Mat, H: Mat) -> tuple[Mat, Mat]:
     A{v_0..v_(j-1)}, which is when the group of columns e_s v_j of
     H = hom_from_free(ambient, basis) holds a pivot of H: a pivot column is
     one outside the span of the columns before it.  The pair-merging pass
-    then replaces two generators by their sum (or difference) while the
-    result still generates, decided by one rank per candidate.  Each
-    generator carries its block of H, and the action is linear, so a
-    candidate's images are the sum (or difference) of two blocks, and the
-    kept blocks side by side are the differential: H is the only action
-    product.  k generators span at most k * dim A, so the pass ends once one
-    generator fewer could not reach the span's dimension.
+    then replaces two generators by their sum while the result still
+    generates, decided by one rank per candidate.  Each generator carries
+    its block of H, and the action is linear, so a candidate's images are
+    the sum of two blocks, and the kept blocks side by side are the
+    differential: H is the only action product.  k generators span at most
+    k * dim A, so the pass ends once one generator fewer could not reach the
+    span's dimension.
     """
     field, n, total = ambient.field, ambient.algebra.dim, basis.ncols
     keep = sorted({c // n for c in pivots(H)})
     gens = [(basis.a[:, j], H.a[:, j * n:(j + 1) * n]) for j in keep]
-    signs = (1,) if field.char == 2 else (1, -1)
 
     def merged() -> list[tuple[np.ndarray, np.ndarray]] | None:
         for i, j in combinations(range(len(gens)), 2):
             rest = [g for t, g in enumerate(gens) if t not in (i, j)]
             (u, hu), (v, hv) = gens[i], gens[j]
-            for s in signs:
-                images = field.reduce(hu + s * hv)
-                blocks = [h for _, h in rest] + [images]
-                if rank(Mat._of(field, np.concatenate(blocks, axis=1))) == total:
-                    return rest + [(u + s * v, images)]
+            images = field.reduce(hu + hv)
+            blocks = [h for _, h in rest] + [images]
+            if rank(Mat._of(field, np.concatenate(blocks, axis=1))) == total:
+                return rest + [(u + v, images)]
         return None
 
     while len(gens) > 1 and total <= (len(gens) - 1) * n and (cand := merged()) is not None:
@@ -373,20 +372,11 @@ def ext0_from_hom(h: ModuleHom) -> ExtElement:
     return ext_element_from_images(h.source, h.target, 0, h.matrix @ res.gens[0])
 
 
-def ext_group(M: Module, N: Module, i: int, truncate: int | None = None):
-    """Dimension and basis of Ext^i(M, N).
-
-    The resolution is computed through P_i and the syzygies ker d_i.
-    truncate caps the resolution length; degree i needs at least i+1,
-    because ker d_i stands in for P_(i+1), and asking for more Ext than the
-    cap allows raises TruncationError instead of silently truncating.
-    """
+def ext_group(M: Module, N: Module, i: int):
+    """Dimension and basis of Ext^i(M, N), from the resolution of M through
+    P_i and the syzygies ker d_i, which stand in for P_(i+1)."""
     if i < 0:
         raise ValueError("Ext degree must be nonnegative")
-    need = i + 1
-    if truncate is not None and truncate < need:
-        raise TruncationError(
-            f"Ext^{i} needs the resolution truncated to degree >= {need}, got {truncate}")
     space = _ext_space(M, N, i)
     basis = [ExtElement(space, space.include.col(t)) for t in range(space.dim)]
     return space.dim, basis
@@ -448,17 +438,16 @@ class ExtensionSeq:
     """Exact sequence 0 -> sub -> E_i -> ... -> E_1 -> quotient -> 0.
 
     maps[t] goes from mods[t] to mods[t+1]; degree is the number of middle
-    terms (>= 1).  Exactness is validated at every node and failures name
-    the node.
+    terms (>= 1).  Exactness is validated at every node on construction,
+    and failures name the node.
     """
 
-    def __init__(self, mods: list[Module], maps: list[ModuleHom], check: bool = True):
+    def __init__(self, mods: list[Module], maps: list[ModuleHom]):
         if len(mods) != len(maps) + 1 or len(maps) < 2:
             raise SchemaError("an extension sequence needs n+1 modules for n >= 2 maps")
         self.mods = list(mods)
         self.maps = list(maps)
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def degree(self) -> int:

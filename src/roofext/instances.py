@@ -260,16 +260,16 @@ def random_filtration(rng: Random, field: Field, max_dim: int = 6,
     raise DegenerateFiltrationError(f"no nondegenerate filtration in {tries} tries")
 
 
-def random_ext_element(rng: Random, basis: list[ExtElement],
-                       nonzero: bool = True, tries: int = 32) -> ExtElement:
-    """Random combination of a basis of one Ext group; nonzero ones need a nonempty basis."""
+def random_ext_element(rng: Random, basis: list[ExtElement]) -> ExtElement:
+    """Random nonzero combination of a nonempty basis of one Ext group: the
+    first nonzero of 32 draws, else basis[0]."""
     if not basis:
         raise ValueError("empty basis has no nonzero elements")
     field = basis[0].source.field
     vecs = hstack([b.vec for b in basis])
-    for _ in range(tries):
+    for _ in range(32):
         out = ExtElement(basis[0].space, vecs @ random_mat(rng, field, len(basis), 1))
-        if not nonzero or not out.is_zero():
+        if not out.is_zero():
             return out
     return basis[0]
 

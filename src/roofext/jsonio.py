@@ -281,7 +281,7 @@ def extension_from_json(obj: dict, where: str = "extension",
         src, tgt = mods[t], mods[t + 1]
         mat = mat_from_json(src.field, raw, tgt.dim, src.dim, f"{where}.maps[{t}]")
         maps.append(ModuleHom(src, tgt, mat, check=True))
-    return ExtensionSeq(mods, maps, check=True)
+    return ExtensionSeq(mods, maps)
 
 
 # -- filtrations --------------------------------------------------------------

@@ -41,16 +41,18 @@ kernel basis and solutions are read off those lists into one array each:
 for a small matrix a numpy call, or packing and unpacking, costs more than
 the arithmetic, and only F2 and F3 have a packed form.
 Every Mat holds a read-only array in canonical form: `Mat(field, data)`
-reduces it (over F_p exactly for ints of any size, refusing an entry that
-is not an integer, and over Q one that is not a rational number, such as
-a float or a string, with SchemaError), and results that are canonical by
+reduces it by field.reduce, as Algebra does its structure constants (over
+F_p exactly for ints of any size, refusing an entry that is not an
+integer, and over Q one that is not a rational number, such as a float or
+a string, with SchemaError), and results that are canonical by
 construction skip that through `Mat._of`; a kernel basis is one of them,
 as _reduced negates in the field.  Both mark the array read-only and fill
 the two slots through the slots' own setters, bound once at module level,
-while `Mat.__setattr__` refuses every assignment: no attribute of a Mat can
-be rebound and no entry written.  A zero test, here and in the layers
-above, counts nonzeros (`np.count_nonzero`, one C call) instead of calling
-`.any()`, which goes through numpy's Python-level reduction.
+while `Mat.__setattr__` and `__delattr__` refuse every assignment and
+deletion: no attribute of a Mat can be rebound or deleted and no entry
+written.  A zero test, here and in the layers above, counts nonzeros
+(`np.count_nonzero`, one C call) instead of calling `.any()`, which goes
+through numpy's Python-level reduction.
 """
 
 from __future__ import annotations
@@ -97,29 +99,7 @@ _MAX_PRIME = 1 << 25
 _QQ_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-class Field:
-    """Common interface for the two supported scalar fields."""
-
-    name: str
-    char: int
-
-    def reduce(self, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def zeros(self, shape: tuple[int, int]) -> np.ndarray:
-        raise NotImplementedError
-
-    def parse(self, s):
-        raise NotImplementedError
-
-    def fmt(self, x) -> str | int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-class RationalField(Field):
+class RationalField:
     name = "q"
     char = 0
 
@@ -163,6 +143,9 @@ class RationalField(Field):
     def __hash__(self):
         return hash("q")
 
+    def __repr__(self):
+        return self.name
+
 
 def _canonical(x) -> int | Fraction:
     """The canonical rational scalar equal to x: int if integral, else Fraction."""
@@ -175,9 +158,7 @@ def _all_int(entries) -> bool:
     return set(map(type, entries)) <= {int}
 
 
-class PrimeField(Field):
-    char: int
-
+class PrimeField:
     def __init__(self, p: int):
         # the bound first: trial division of a huge modulus would not finish
         if p > _MAX_PRIME:
@@ -191,7 +172,10 @@ class PrimeField(Field):
         self.dot_chunk = (2**63 - 1) // (p - 1) ** 2
 
     def reduce(self, arr):
-        return np.asarray(arr, dtype=np.int64) % self.p
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "bi":  # bool and signed ints cast to int64 exactly
+            return _residues(arr, self.p)
+        return arr.astype(np.int64, copy=False) % self.p
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)
@@ -218,6 +202,13 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("fp", self.p))
+
+    def __repr__(self):
+        return self.name
+
+
+# The two supported scalar fields; every caller branches on which one it has.
+Field = RationalField | PrimeField
 
 
 def _is_prime(n: int) -> bool:
@@ -281,17 +272,11 @@ class Mat:
     __slots__ = ("field", "a")
 
     def __init__(self, field: Field, data):
-        if isinstance(field, RationalField):
-            arr = np.asarray(data, dtype=object)
-        else:
-            arr = np.asarray(data)
-            if arr.dtype.kind not in "bi":  # bool and signed ints cast to int64 exactly
-                arr = _residues(arr, field.p)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        a = field.reduce(arr)
+        a = field.reduce(data)
+        if a.ndim == 1:
+            a = a.reshape(-1, 1)
+        if a.ndim != 2:
+            raise ValueError(f"matrix data must be 2-dimensional, got shape {a.shape}")
         a.setflags(write=False)
         _set_field(self, field)
         _set_a(self, a)
@@ -308,6 +293,8 @@ class Mat:
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
+
+    __delattr__ = __setattr__
 
     # -- construction -----------------------------------------------------
 

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -155,6 +156,16 @@ def test_algebra_rejects_bad_shapes():
     a = truncated_polynomial_algebra(QQ, 3)
     with pytest.raises(SchemaError, match="unit vector length"):
         Algebra(QQ, a.mult, [1, 0])
+
+
+def test_prime_field_algebra_entries_are_exact_or_refused():
+    """Structure constants over F_p pass the policy Mat entries do: a
+    non-integer is refused, and an integer of any size or type reduces
+    exactly."""
+    with pytest.raises(SchemaError, match="not an integer"):
+        Algebra(F3, [[[1.5]]], [1])
+    assert Algebra(F2, [[[2**70 + 1]]], [1]).mult.tolist() == [[[1]]]
+    assert Algebra(F3, [[[Fraction(4)]]], [Fraction(4)]).mult.tolist() == [[[1]]]
 
 
 def test_quiver_algebra_composition_rule():
@@ -533,7 +544,7 @@ from roofext.linalg import GF, Mat
 F3 = GF(3)
 alg = truncated_polynomial_algebra(F3, 2)  # x * x = 0
 shift = Mat(F3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # but x acts with x^2 != 0
-module = Module(alg, action=[Mat.identity(F3, 3), shift], check=False)
+module = Module(alg, action=[Mat.identity(F3, 3), shift])
 submodule(module, Mat(F3, [[1], [0], [0]]))
 """,
     "minimal-generators-unstable-basis": """

@@ -8,6 +8,7 @@ Ext^1 along each arrow, one-dimensional Ext^2 along the length-two path,
 and the product of the two arrow classes generates it.
 """
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -22,7 +23,7 @@ from roofext.algebra import (
     hom_space,
     random_bound_quiver_algebra,
 )
-from roofext.errors import MiddleMismatchError, SchemaError, TruncationError
+from roofext.errors import MiddleMismatchError, SchemaError
 from roofext.ext import (
     SPLICE_PRODUCT_SIGN,
     ExtensionSeq,
@@ -205,32 +206,39 @@ def test_greedy_picker_eliminates_once_per_candidate(monkeypatch):
     takes the reference's generators and the differential on them with one
     action product per call, the scan's H, whose blocks give every merge
     candidate's images.  One elimination scans the basis and one decides
-    each merge candidate the reference tried (it built one IncrementalSpan
-    for the scan and one per candidate), until the dimension bound ends the
-    pass: after that the picker tries none, so once the bound fires it makes
-    fewer rank tests than the reference tried.  It grows no IncrementalSpan."""
+    each sum candidate the reference tried (the reference builds one
+    IncrementalSpan for the scan and one per candidate, and tries the
+    difference of a pair after its failed sum), until the dimension bound
+    ends the pass: after that the picker tries none, so once the bound fires
+    it makes fewer rank tests than the reference tried sums.  It grows no
+    IncrementalSpan."""
     M = jsonio.module_from_json(cli._document("fixture:ka3_simple1"))
     assert M.algebra.radical is None
     res = free_resolution(M, 2)
     steps = [(M, Mat.identity(QQ, M.dim), tuple(range(M.dim))),
              *((res.terms[k], *res._kers[k]) for k in range(2))]
-    spans, adds = [], []
+    spans, adds, products = [], [], []
     init = linalg.IncrementalSpan.__init__
     monkeypatch.setattr(linalg.IncrementalSpan, "__init__",
                         lambda self, *a: spans.append(a) or init(self, *a))
-    refs, tried = [], []
+    act_all = Module.act_all
+    monkeypatch.setattr(Module, "act_all", lambda self, v: products.append(
+        (len(spans), v.ncols)) or act_all(self, v))
+    refs, sums = [], []
     for prev, basis, _ in steps:
         spans.clear()
+        products.clear()
         refs.append(greedy_generators_reference(prev, basis))
-        tried.append(len(spans) - 1)  # one span scans, one per candidate
+        # the scan grows the first span, and each later span closes one
+        # candidate, as wide as its round's generators less one; a round
+        # tries each pair's sum, then its difference if the sum failed
+        rounds = Counter(width for span, width in products if span > 1)
+        sums.append(sum((tried + 1) // 2 for tried in rounds.values()))
     maps = [hom_from_free(prev, ref) for (prev, _, _), ref in zip(steps, refs)]
     monkeypatch.setattr(linalg.IncrementalSpan, "add", lambda self, v: adds.append(v))
-    products = []
-    act_all = Module.act_all
-    monkeypatch.setattr(Module, "act_all", lambda self, v: products.append(v) or act_all(self, v))
     calls = _count_eliminations(monkeypatch)
     fired = 0
-    for (prev, basis, free), ref, dmat, ref_tried in zip(steps, refs, maps, tried):
+    for (prev, basis, free), ref, dmat, ref_sums in zip(steps, refs, maps, sums):
         products.clear()
         calls.clear()
         assert minimal_generators(prev, basis, free) == (ref, dmat)
@@ -238,8 +246,8 @@ def test_greedy_picker_eliminates_once_per_candidate(monkeypatch):
         bound = 1 < ref.ncols and (ref.ncols - 1) * M.algebra.dim < basis.ncols
         fired += bound
         rank_tests = len(calls) - 1  # one pivot scan, then one rank per candidate
-        assert rank_tests < ref_tried if bound else rank_tests == ref_tried
-    assert fired > 0 and max(tried) > 0 and not adds
+        assert rank_tests < ref_sums if bound else rank_tests == ref_sums
+    assert fired > 0 and max(sums) > 0 and not adds
 
 
 def test_resolution_grows_in_place():
@@ -332,11 +340,9 @@ def test_ka3_ext_dimensions():
     assert ext_group(s3, s1, 2)[0] == 0
 
 
-def test_truncation_error():
+def test_ext_degree_two_and_negative_degree():
     k = kx3_simple(QQ)
-    with pytest.raises(TruncationError):
-        ext_group(k, k, 2, truncate=2)
-    dim, _ = ext_group(k, k, 2, truncate=3)
+    dim, _ = ext_group(k, k, 2)
     assert dim == 1
     with pytest.raises(ValueError):
         ext_group(k, k, -1)

@@ -810,6 +810,19 @@ def test_mats_refuse_every_write(field):
         assert r.a is held and r.field is field
 
 
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=str)
+def test_mats_refuse_deletion(field):
+    """Neither attribute can be deleted, and a refused deletion leaves the
+    Mat as it was."""
+    m = Mat(field, [[1, 2], [0, 3]])
+    held = m.a
+    for name in ("a", "field"):
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m.a is held and m.field is field and not m.is_zero()
+    assert m @ Mat.identity(field, 2) == m
+
+
 @pytest.mark.parametrize("field", [F2, F3, GF(5), GF(33554393), QQ], ids=str)
 def test_random_mat_draws_as_randrange_does(field):
     """Same entries, and the same generator state after, as one randrange(p)
